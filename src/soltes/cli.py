@@ -17,13 +17,27 @@ from .plan import enumerate_chain, q_range
 from .transforms import line_graph, truncate
 
 
+_MAX_THREADS = 64
+
+
 def _threads(args):
+    """Worker count from --threads, then SOLTES_THREADS, then the cores."""
     if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SOLTES_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+        count, source = args.threads, "--threads"
+    elif os.environ.get("SOLTES_THREADS"):
+        env = os.environ["SOLTES_THREADS"]
+        try:
+            count = int(env)
+        except ValueError:
+            raise ValueError(
+                f"SOLTES_THREADS must be an integer, got {env!r}") from None
+        source = "SOLTES_THREADS"
+    else:
+        return os.cpu_count() or 1
+    if not 1 <= count <= _MAX_THREADS:
+        raise ValueError(
+            f"{source} must be between 1 and {_MAX_THREADS}, got {count}")
+    return count
 
 
 def _graph6_lines(path):
@@ -46,8 +60,8 @@ def _cmd_soltes(args, out):
         except ValueError as exc:
             return json.dumps({"id": line, "error": str(exc)})
 
-    lines = list(_graph6_lines(args.file))
     workers = _threads(args)
+    lines = list(_graph6_lines(args.file))
     if workers > 1 and len(lines) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = pool.map(scan, lines)
@@ -124,7 +138,7 @@ def _cmd_cayley(args, out):
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    result = verify_entry(entry, threads=_threads(args))
+    result = verify_entry(entry)
     print(json.dumps(result), file=out)
     return 0 if result["ok"] else 1
 
@@ -136,7 +150,8 @@ def _parser():
                     "constructions with prescribed removable vertices, "
                     "regular-graph censuses and catalog checks.")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (falls back to SOLTES_THREADS, then cores)")
+                   help="worker cap for soltes batch scans, 1-64 (falls back "
+                        "to SOLTES_THREADS, then cores)")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("soltes", help="graph6 lines to JSON report lines")

@@ -12,9 +12,11 @@ _MAX_N = 10 ** 6
 
 
 def _size_field(n):
+    # graph6 uses the 4-byte form up to 258047 (the largest n whose first
+    # 6-bit group is below 63, so the field cannot be read as "~~")
     if n <= 62:
         return chr(n + 63)
-    if n <= 262143:
+    if n <= 258047:
         return "~" + "".join(
             chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     return "~~" + "".join(

@@ -8,11 +8,9 @@ equality checks only (any arithmetic with it raises TypeError on purpose).
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 
 class _Sentinel:
@@ -31,8 +29,11 @@ INFINITE = _Sentinel("INFINITE")
 UNREACHABLE = _Sentinel("UNREACHABLE")
 ACYCLIC = _Sentinel("ACYCLIC")
 
-# below this order the pure-python BFS is faster than the scipy round trip
-_DENSE_MIN_N = 64
+# From this order on, all-pairs sums use the packed sweep; below it, one
+# pure-python BFS per source, which costs less than the sweep's numpy set-up
+# on tiny graphs.  On random cubic graphs the two break even near n = 14; the
+# census graphs (n <= 14) stay on the BFS.
+_DENSE_MIN_N = 16
 
 
 class Graph:
@@ -156,16 +157,6 @@ def bfs_distances(g: Graph, src) -> DistanceVector:
     return DistanceVector(src, [d if d >= 0 else UNREACHABLE for d in raw])
 
 
-def _csgraph(g):
-    degs = [len(a) for a in g.adj]
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(degs, out=indptr[1:])
-    indices = np.fromiter(
-        (v for nbrs in g.adj for v in nbrs), dtype=np.int32, count=2 * g.m)
-    data = np.ones(2 * g.m, dtype=np.int8)
-    return csr_matrix((data, indices, indptr), shape=(g.n, g.n))
-
-
 def _packed_pair_sum(g):
     """(sum of d(u,v) over ordered pairs, max distance, connected flag).
 
@@ -199,30 +190,6 @@ def _packed_pair_sum(g):
         reached_bits += fresh
         frontier[:n] = new
     return total, level, True
-
-
-def _distance_matrix(g):
-    """Float matrix of all-pairs distances, np.inf across components.
-
-    Runs breadth-first search from every source at once: one sparse-dense
-    product per distance level instead of a priority queue per source.
-    """
-    n = g.n
-    a = _csgraph(g).astype(np.float32)
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    reached = np.eye(n, dtype=bool)
-    frontier = np.eye(n, dtype=np.float32)
-    level = 0
-    while True:
-        level += 1
-        nxt = (a @ frontier) > 0
-        nxt &= ~reached
-        if not nxt.any():
-            return dist
-        dist[nxt] = level
-        reached |= nxt
-        frontier = nxt.astype(np.float32)
 
 
 def wiener(g: Graph):
@@ -276,24 +243,50 @@ def is_connected(g: Graph) -> bool:
     return min(raw) >= 0
 
 
-def soltes_report(g: Graph, threads=None) -> SoltesReport:
+def _check_automorphism(g, perm, edge_set):
+    """Raise ValueError unless perm (an image list) is an automorphism of g."""
+    if len(perm) != g.n or set(perm) != set(range(g.n)):
+        raise ValueError(f"permutation is not a bijection on 0..{g.n - 1}")
+    for u, v in g.edges():
+        a, b = perm[u], perm[v]
+        if (a, b) not in edge_set and (b, a) not in edge_set:
+            raise ValueError(
+                f"not an automorphism: edge ({u},{v}) maps to non-edge ({a},{b})")
+
+
+def soltes_report(g: Graph, automorphisms=None) -> SoltesReport:
     """Per-vertex deletion analysis of a connected graph.
 
-    threads > 1 runs the deletions in a thread pool; the merge is by vertex
-    index, so the output never depends on the worker count.
+    automorphisms is an optional list of vertex image lists, each an
+    automorphism of g (checked; ValueError otherwise).  W(G-v) is constant
+    on the orbits of the group they generate, so one deletion per orbit is
+    evaluated and its value copied to the rest of the orbit.
     """
     if not is_connected(g):
         raise ValueError("soltes_report requires a connected graph")
     w = wiener(g)
+    parent = list(range(g.n))
 
-    def removed(v):
-        return wiener(delete_vertex(g, v))
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    if threads and threads > 1 and g.n >= _DENSE_MIN_N:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_vertex = list(pool.map(removed, range(g.n)))
-    else:
-        per_vertex = [removed(v) for v in range(g.n)]
+    if automorphisms:
+        edge_set = set(g.edges())
+        for perm in automorphisms:
+            _check_automorphism(g, perm, edge_set)
+            for v, image in enumerate(perm):
+                parent[find(v)] = find(image)
+
+    per_orbit = {}
+    per_vertex = []
+    for v in range(g.n):
+        root = find(v)
+        if root not in per_orbit:
+            per_orbit[root] = wiener(delete_vertex(g, v))
+        per_vertex.append(per_orbit[root])
 
     soltes_set = tuple(v for v in range(g.n) if per_vertex[v] == w)
     alpha = Fraction(len(soltes_set), g.n) if g.n else Fraction(0, 1)

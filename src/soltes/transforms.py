@@ -45,3 +45,40 @@ def line_graph(g: Graph) -> Graph:
             for j in range(i + 1, len(inc)):
                 edges.append((inc[i], inc[j]))
     return Graph(len(index), edges)
+
+
+def truncation_action(g: Graph, perm):
+    """Lift an automorphism of cubic g to the corners of truncate(g).
+
+    Corner 3v+k, the end at v of the edge to adj[v][k], maps to the end at
+    perm[v] of the edge to perm[adj[v][k]].
+    """
+    out = [0] * (3 * g.n)
+    for v, nbrs in enumerate(g.adj):
+        image = g.adj[perm[v]]
+        for k, u in enumerate(nbrs):
+            try:
+                rank = image.index(perm[u])
+            except ValueError:
+                raise ValueError(
+                    f"not an automorphism: edge ({v},{u}) maps to a non-edge"
+                ) from None
+            out[3 * v + k] = 3 * perm[v] + rank
+    return out
+
+
+def line_graph_action(g: Graph, perm):
+    """Lift an automorphism of g to the vertices of line_graph(g).
+
+    Edge {u,v} maps to edge {perm[u], perm[v]}.
+    """
+    index = {e: i for i, e in enumerate(g.edges())}
+    out = []
+    for u, v in g.edges():
+        a, b = perm[u], perm[v]
+        key = (a, b) if a < b else (b, a)
+        if key not in index:
+            raise ValueError(
+                f"not an automorphism: edge ({u},{v}) maps to non-edge {key}")
+        out.append(index[key])
+    return out

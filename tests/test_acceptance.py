@@ -186,9 +186,6 @@ def test_criterion_08_extended_cubic_census():
     assert row.counts == {1: 108, 2: 37, 3: 1, 4: 2}
 
 
-_TRANSFORM_REQUIRED = {"CVT(384,805)", "CVT(600,259)", "CVT(324,104)"}
-
-
 def test_criterion_09_catalog_verification():
     with _criterion("criterion 09 generator catalog closures", 900.0):
         entries = load_catalog()
@@ -196,10 +193,20 @@ def test_criterion_09_catalog_verification():
             384, 600, 768, 1000, 1056, 1056, 1280, 324]
         results = {}
         for entry in entries:
-            result = verify_entry(
-                entry, include_transform=entry.name in _TRANSFORM_REQUIRED)
+            result = verify_entry(entry)
             assert result["ok"], f"{entry.name}: {result['checks']}"
             results[entry.name] = result
+            # every transform has exactly a third of its vertices removable
+            t = result["transform"]
+            order = entry.expected["group_order"]
+            if entry.expected["transform"] == "line_graph":
+                assert t["kind"] == "line_graph" and t["order"] == 3 * order // 2
+                assert t["regular"] == 4
+            else:
+                assert t["kind"] == "truncation" and t["order"] == 3 * order
+                assert t["regular"] == 3
+            assert 3 * t["soltes_count"] == t["order"], entry.name
+            assert t["alpha_at_least_third"]
         t384 = results["CVT(384,805)"]["transform"]
         assert t384["kind"] == "truncation" and t384["order"] == 1152
         assert t384["alpha_at_least_third"]

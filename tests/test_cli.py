@@ -139,6 +139,30 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["n"] == 9
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--threads", "0"], None),
+    (["--threads", "-1"], None),
+    (["--threads", "65"], None),
+    ([], "0"),
+])
+def test_threads_out_of_range_is_usage_error(tmp_path, capsys, monkeypatch,
+                                             argv, env):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr("soltes.cli.ThreadPoolExecutor", no_pool)
+    if env is None:
+        monkeypatch.delenv("SOLTES_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SOLTES_THREADS", env)
+    src = tmp_path / "two.g6"
+    src.write_text(encode_graph6(cycle(9)) + "\n" + encode_graph6(cycle(11))
+                   + "\n", encoding="ascii")
+    code, out, err = run_cli(capsys, *argv, "soltes", str(src))
+    assert code == 2 and out == ""
+    assert "between 1 and 64" in err
+
+
 def test_console_script_is_installed():
     exe = shutil.which("soltes")
     if exe is None:

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from soltes.codec import (decode_graph6, encode_graph6, parse_permutation,
-                          write_report)
+from soltes.codec import (_size_field, decode_graph6, encode_graph6,
+                          parse_permutation, write_report)
 from soltes.core import Graph, soltes_report
 
 
@@ -54,6 +54,22 @@ def test_roundtrip_medium_and_large_size_fields():
         if n > 62:
             assert s.startswith("~")
         assert decode_graph6(s) == g
+
+
+def test_size_field_switches_form_at_spec_limit():
+    # graph6: 4-byte form for 63 <= n <= 258047, 8-byte form above
+    assert _size_field(62) == "}"
+    assert _size_field(63) == "~??~"
+    four = _size_field(258047)
+    assert four.startswith("~") and not four.startswith("~~")
+    assert len(four) == 4
+    eight = _size_field(258048)
+    assert eight.startswith("~~") and len(eight) == 8
+    # the decoder reads each order back from the header alone: a short
+    # body fails with the order named, so no large graph is built
+    for n in (258047, 258048):
+        with pytest.raises(ValueError, match=f"expected .* for n={n}$"):
+            decode_graph6(_size_field(n) + "??")
 
 
 def test_decode_errors():

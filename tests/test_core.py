@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import soltes.core
 from soltes.core import (ACYCLIC, INFINITE, UNREACHABLE, Graph, bfs_distances,
                          contract_set, delete_vertex, is_biconnected,
                          is_connected, profile, soltes_report, transmission,
-                         wiener, _distance_matrix, _packed_pair_sum)
+                         wiener, _DENSE_MIN_N, _bfs_raw, _packed_pair_sum)
 
 
 def floyd_warshall(n, edges):
@@ -34,6 +35,11 @@ def floyd_warshall(n, edges):
 def random_graph(rng, n, p):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                      if rng.random() < p])
+
+
+def bfs_distance_matrix(g):
+    """All-pairs distances, one plain BFS per source, -1 across components."""
+    return [_bfs_raw(g.adj, g.n, src) for src in range(g.n)]
 
 
 def test_graph_construction_basics():
@@ -138,18 +144,36 @@ def test_numpy_route_matches_pure_python():
 
 
 def test_packed_sweep_against_distance_matrix():
-    import numpy as np
-
     rng = random.Random(5)
     for _ in range(8):
         n = rng.randrange(64, 80)
         g = random_graph(rng, n, 0.07)
-        dm = _distance_matrix(g)
+        dm = bfs_distance_matrix(g)
         total, far, connected = _packed_pair_sum(g)
-        assert connected == (not np.isinf(dm).any())
+        assert connected == all(d >= 0 for row in dm for d in row)
         if connected:
-            assert total == int(dm.sum())
-            assert far == int(dm.max())
+            assert total == sum(map(sum, dm))
+            assert far == max(map(max, dm))
+
+
+def test_kernel_crossover_matches_bfs_oracle():
+    # both sides of _DENSE_MIN_N and of the 64-bit word boundary
+    assert 15 <= _DENSE_MIN_N <= 16
+    rng = random.Random(1516)
+    for n in (15, 16, 17, 63, 64):
+        for p in (1.5 / n, 3.0 / n, 0.5):
+            g = random_graph(rng, n, p)
+            dm = bfs_distance_matrix(g)
+            if all(d >= 0 for row in dm for d in row):
+                assert wiener(g) == sum(map(sum, dm)) // 2
+                assert profile(g)["diameter"] == max(map(max, dm))
+            else:
+                assert wiener(g) is INFINITE
+                assert profile(g)["diameter"] is INFINITE
+        ring = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        dm = bfs_distance_matrix(ring)
+        assert wiener(ring) == sum(map(sum, dm)) // 2
+        assert profile(ring)["diameter"] == n // 2
 
 
 def test_delete_vertex_relabels_in_order():
@@ -196,14 +220,61 @@ def test_soltes_report_known_graphs():
         soltes_report(Graph(4, [(0, 1), (2, 3)]))
 
 
-def test_soltes_report_thread_count_is_invisible():
-    n = 70
-    g = Graph(n, [(i, (i + 1) % n) for i in range(n)] +
-              [(i, (i + 7) % n) for i in range(n)])
-    a = soltes_report(g, threads=1)
-    b = soltes_report(g, threads=4)
+def count_deletions(monkeypatch):
+    calls = []
+    real = soltes.core.delete_vertex
+
+    def counted(g, v):
+        calls.append(v)
+        return real(g, v)
+
+    monkeypatch.setattr(soltes.core, "delete_vertex", counted)
+    return calls
+
+
+def assert_same_report(a, b):
+    assert a.wiener == b.wiener
     assert a.per_vertex == b.per_vertex
     assert a.soltes_set == b.soltes_set
+    assert a.alpha == b.alpha
+
+
+def test_orbit_report_cycle_under_rotation(monkeypatch):
+    c11 = Graph(11, [(i, (i + 1) % 11) for i in range(11)])
+    brute = soltes_report(c11)
+    calls = count_deletions(monkeypatch)
+    rotation = [(i + 1) % 11 for i in range(11)]
+    assert_same_report(soltes_report(c11, automorphisms=[rotation]), brute)
+    assert calls == [0]
+
+
+def test_orbit_report_identity_only_is_brute_force(monkeypatch):
+    rng = random.Random(808)
+    calls = count_deletions(monkeypatch)
+    checked = 0
+    while checked < 10:
+        g = random_graph(rng, rng.randrange(5, 40), 0.3)
+        if not is_connected(g):
+            continue
+        checked += 1
+        brute = soltes_report(g)
+        calls.clear()
+        rep = soltes_report(g, automorphisms=[list(range(g.n))])
+        assert_same_report(rep, brute)
+        assert calls == list(range(g.n))
+
+
+def test_orbit_report_rejects_bad_permutations():
+    c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    for perm in ([0, 0, 2, 3, 4],    # not injective
+                 [0, 1, 2, 3],       # wrong length
+                 [0, 1, 2, 3, 5],    # image out of range
+                 [1, 0, 2, 3, 4]):   # bijection, but (1,2) -> (0,2)
+        with pytest.raises(ValueError):
+            soltes_report(c5, automorphisms=[perm])
+    # a bad permutation after a good one is still caught
+    with pytest.raises(ValueError):
+        soltes_report(c5, automorphisms=[[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]])
 
 
 def test_is_biconnected_matches_deletion_definition():

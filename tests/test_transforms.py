@@ -2,10 +2,14 @@
 
 import pytest
 
-from soltes.core import Graph, is_biconnected, profile, wiener
+import soltes.core
+from soltes.cayley import cayley_graph, group_closure, left_actions
+from soltes.codec import parse_permutation
+from soltes.core import Graph, is_biconnected, profile, soltes_report, wiener
 from soltes.enumeration import canonical_form, gen_regular
 from soltes.families import complete, cycle
-from soltes.transforms import line_graph, truncate
+from soltes.transforms import (line_graph, line_graph_action, truncate,
+                               truncation_action)
 
 
 def test_truncate_k4():
@@ -73,3 +77,60 @@ def test_line_graph_wiener_of_path():
     l = line_graph(p4)
     assert sorted(l.edges()) == [(0, 1), (1, 2)]
     assert wiener(l) == 4
+
+
+# (degree, generators) of cubic Cayley graphs: K_{3,3}, the 5-prism, the
+# truncated tetrahedron (A_4), S_4 on adjacent transpositions, and three
+# involutions of degree 6
+_SMALL_CUBIC_CAYLEY = [
+    (6, ("(1,2,3,4,5,6)", "(1,4)(2,5)(3,6)")),
+    (5, ("(1,2,3,4,5)", "(2,5)(3,4)")),
+    (4, ("(1,2,3)", "(1,2)(3,4)")),
+    (4, ("(1,2)", "(2,3)", "(3,4)")),
+    (6, ("(1,2)(3,4)(5,6)", "(1,4)(2,5)(3,6)", "(1,6)(2,3)(4,5)")),
+]
+
+
+def test_orbit_report_on_lifted_left_actions(monkeypatch):
+    real = soltes.core.delete_vertex
+    calls = []
+
+    def counted(g, v):
+        calls.append(v)
+        return real(g, v)
+
+    def orbit_and_brute(h, automorphisms):
+        calls.clear()
+        fast = soltes_report(h, automorphisms=automorphisms)
+        evaluated = len(calls)
+        brute = soltes_report(h)
+        assert fast.wiener == brute.wiener
+        assert fast.per_vertex == brute.per_vertex
+        assert fast.soltes_set == brute.soltes_set
+        assert fast.alpha == brute.alpha
+        return evaluated
+
+    monkeypatch.setattr(soltes.core, "delete_vertex", counted)
+    for degree, texts in _SMALL_CUBIC_CAYLEY:
+        gens = [parse_permutation(t, degree) for t in texts]
+        elements = group_closure(gens)
+        g = cayley_graph(gens, elements)
+        assert g == cayley_graph(gens)
+        actions = left_actions(gens, elements)
+        # left multiplication is transitive on the group elements
+        assert orbit_and_brute(g, actions) == 1
+        # and has at most 3 orbits on arcs (corners) and on edges
+        for op, lift in ((truncate, truncation_action),
+                         (line_graph, line_graph_action)):
+            lifted = [lift(g, a) for a in actions]
+            assert orbit_and_brute(op(g), lifted) <= 3, (texts, op.__name__)
+
+
+def test_lifts_reject_non_automorphisms():
+    c6 = cycle(6)
+    swap = [1, 0, 2, 3, 4, 5]  # (1,2) -> (0,2), not an edge
+    with pytest.raises(ValueError):
+        line_graph_action(c6, swap)
+    k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    with pytest.raises(ValueError):
+        truncation_action(k33, [0, 3, 2, 1, 4, 5])  # (0,3) -> (0,1)
