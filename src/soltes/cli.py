@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .builder import build_many_soltes, build_two_soltes, verify_construction
 from .cayley import catalog_entry, load_catalog, verify_entry
@@ -17,57 +15,27 @@ from .plan import enumerate_chain, q_range
 from .transforms import line_graph, truncate
 
 
-_MAX_THREADS = 64
-
-
-def _threads(args):
-    """Worker count from --threads, then SOLTES_THREADS, then the cores."""
-    if args.threads is not None:
-        count, source = args.threads, "--threads"
-    elif os.environ.get("SOLTES_THREADS"):
-        env = os.environ["SOLTES_THREADS"]
-        try:
-            count = int(env)
-        except ValueError:
-            raise ValueError(
-                f"SOLTES_THREADS must be an integer, got {env!r}") from None
-        source = "SOLTES_THREADS"
-    else:
-        return os.cpu_count() or 1
-    if not 1 <= count <= _MAX_THREADS:
-        raise ValueError(
-            f"{source} must be between 1 and {_MAX_THREADS}, got {count}")
-    return count
-
-
 def _graph6_lines(path):
-    stream = open(path, "r", encoding="ascii") if path else sys.stdin
+    """Stripped non-empty lines; each is decoded as ASCII when it is reached."""
+    stream = open(path, "rb") if path else sys.stdin.buffer
     try:
-        for line in stream:
-            line = line.strip()
-            if line:
-                yield line
+        for raw in stream:
+            # a lone CR ends a line too, as under text mode's universal newlines
+            for line in raw.decode("ascii").split("\r"):
+                line = line.strip()
+                if line:
+                    yield line
     finally:
         if path:
             stream.close()
 
 
 def _cmd_soltes(args, out):
-    def scan(line):
+    for line in _graph6_lines(args.file):
         try:
-            g = decode_graph6(line)
-            return write_report(soltes_report(g), line)
+            record = write_report(soltes_report(decode_graph6(line)), line)
         except ValueError as exc:
-            return json.dumps({"id": line, "error": str(exc)})
-
-    workers = _threads(args)
-    lines = list(_graph6_lines(args.file))
-    if workers > 1 and len(lines) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = pool.map(scan, lines)
-    else:
-        reports = map(scan, lines)
-    for record in reports:
+            record = json.dumps({"id": line, "error": str(exc)})
         print(record, file=out)
     return 0
 
@@ -149,9 +117,6 @@ def _parser():
         description="Wiener-index tooling: vertex-deletion scans, cubic "
                     "constructions with prescribed removable vertices, "
                     "regular-graph censuses and catalog checks.")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap for soltes batch scans, 1-64 (falls back "
-                        "to SOLTES_THREADS, then cores)")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("soltes", help="graph6 lines to JSON report lines")

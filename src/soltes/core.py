@@ -262,9 +262,9 @@ def soltes_report(g: Graph, automorphisms=None) -> SoltesReport:
     on the orbits of the group they generate, so one deletion per orbit is
     evaluated and its value copied to the rest of the orbit.
     """
-    if not is_connected(g):
-        raise ValueError("soltes_report requires a connected graph")
     w = wiener(g)
+    if w is INFINITE:
+        raise ValueError("soltes_report requires a connected graph")
     parent = list(range(g.n))
 
     def find(x):
@@ -384,19 +384,9 @@ def profile(g: Graph) -> dict:
         girth = ACYCLIC
     if g.n <= 1:
         diameter = 0
-    elif g.n >= _DENSE_MIN_N:
+    else:
         _, far, connected = _packed_pair_sum(g)
         diameter = far if connected else INFINITE
-    else:
-        diameter = 0
-        for src in range(g.n):
-            raw = _bfs_raw(g.adj, g.n, src)
-            ecc = max(raw)
-            if min(raw) < 0:
-                diameter = INFINITE
-                break
-            if ecc > diameter:
-                diameter = ecc
     return {
         "girth": girth,
         "diameter": diameter,

@@ -83,13 +83,30 @@ def test_scan_reports_preserve_order_and_survive_errors(tmp_path, capsys):
     assert recs[3]["soltes_count"] == 0
 
 
-def test_scan_is_deterministic_across_worker_counts(tmp_path, capsys):
-    lines = [encode_graph6(cycle(n)) for n in range(3, 40)]
-    src = tmp_path / "cycles.g6"
-    src.write_text("\n".join(lines) + "\n", encoding="ascii")
-    _, out1, _ = run_cli(capsys, "--threads", "1", "soltes", str(src))
-    _, out4, _ = run_cli(capsys, "--threads", "4", "soltes", str(src))
-    assert out1 == out4
+def test_scan_prints_records_read_before_a_bad_byte(tmp_path, capsys):
+    src = tmp_path / "bad.g6"
+    src.write_bytes(encode_graph6(cycle(11)).encode("ascii") + b"\n\xff\n")
+    code, out, err = run_cli(capsys, "soltes", str(src))
+    assert code == 2 and "ascii" in err
+    assert [json.loads(line)["n"] for line in out.splitlines()] == [11]
+
+
+def test_scan_splits_lines_at_cr_and_crlf(tmp_path, capsys):
+    line = encode_graph6(cycle(11))
+    src = tmp_path / "cr.g6"
+    src.write_text(f"{line}\r{line}\r\n{line}", encoding="ascii", newline="")
+    code, out, _ = run_cli(capsys, "soltes", str(src))
+    assert code == 0
+    assert [json.loads(r)["id"] for r in out.splitlines()] == [line] * 3
+
+
+def test_threads_option_is_gone(tmp_path, capsys):
+    src = tmp_path / "one.g6"
+    src.write_text(encode_graph6(cycle(9)) + "\n", encoding="ascii")
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "soltes", str(src)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_tables_csv_and_text(capsys):
@@ -129,38 +146,6 @@ def test_cayley_requires_entry_or_list(capsys):
 def test_cayley_unknown_entry(capsys):
     code, _, err = run_cli(capsys, "cayley", "--entry", "CVT(2,2)")
     assert code == 2 and "no catalog entry" in err
-
-
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SOLTES_THREADS", "2")
-    src = tmp_path / "one.g6"
-    src.write_text(encode_graph6(cycle(9)) + "\n", encoding="ascii")
-    code, out, _ = run_cli(capsys, "soltes", str(src))
-    assert code == 0 and json.loads(out)["n"] == 9
-
-
-@pytest.mark.parametrize("argv, env", [
-    (["--threads", "0"], None),
-    (["--threads", "-1"], None),
-    (["--threads", "65"], None),
-    ([], "0"),
-])
-def test_threads_out_of_range_is_usage_error(tmp_path, capsys, monkeypatch,
-                                             argv, env):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr("soltes.cli.ThreadPoolExecutor", no_pool)
-    if env is None:
-        monkeypatch.delenv("SOLTES_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("SOLTES_THREADS", env)
-    src = tmp_path / "two.g6"
-    src.write_text(encode_graph6(cycle(9)) + "\n" + encode_graph6(cycle(11))
-                   + "\n", encoding="ascii")
-    code, out, err = run_cli(capsys, *argv, "soltes", str(src))
-    assert code == 2 and out == ""
-    assert "between 1 and 64" in err
 
 
 def test_console_script_is_installed():
