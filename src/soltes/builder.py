@@ -10,7 +10,7 @@ without changing the Wiener index.
 
 from __future__ import annotations
 
-from .core import (Graph, bfs_distances, contract_set, delete_vertex,
+from .core import (Graph, _wiener_without, bfs_distances, contract_set,
                    is_biconnected, wiener)
 from .families import LabeledGraph, g_t, g_t_r
 from .plan import (LayerSequence, PlanConstants, d_max, d_min, f_poly,
@@ -362,7 +362,7 @@ def build_many_soltes(t, r, q=None):
     delta = bfs_distances(base.graph, base["v1"])[base["u1"]]
     constants = PlanConstants(t, delta)
     w0 = wiener(base.graph)
-    gap = wiener(delete_vertex(base.graph, base["u1"])) - w0
+    gap = _wiener_without(base.graph, base["u1"]) - w0
     feasible = []
     qq = 1
     while d_min(qq, constants) <= gap:
@@ -393,7 +393,7 @@ def verify_construction(h: Graph, plan: ConstructionPlan) -> dict:
                 layering = False
     w = wiener(h)
     centers = base.labels.get("centers", (base["u1"], base["u2"]))
-    per_center = {c: wiener(delete_vertex(h, c)) for c in centers}
+    per_center = {c: _wiener_without(h, c) for c in centers}
     report = {
         "order": h.n == plan.expected_order,
         "regular": all(h.degree(v) == 3 for v in range(h.n)),

@@ -134,9 +134,15 @@ class SoltesReport:
                 f"soltes_set={self.soltes_set}, alpha={self.alpha})")
 
 
-def _bfs_raw(adj, n, src):
-    """Distance list with -1 for unreachable vertices."""
+def _bfs_raw(adj, n, src, blocked=None):
+    """Distance list with -1 for unreachable vertices.
+
+    A blocked vertex is marked seen (distance 0) before the search starts,
+    so the search never passes through it and it adds nothing to a sum.
+    """
     dist = [-1] * n
+    if blocked is not None:
+        dist[blocked] = 0
     dist[src] = 0
     queue = deque((src,))
     while queue:
@@ -157,58 +163,106 @@ def bfs_distances(g: Graph, src) -> DistanceVector:
     return DistanceVector(src, [d if d >= 0 else UNREACHABLE for d in raw])
 
 
-def _packed_pair_sum(g):
+def _neighbour_table(g):
+    """(max(1, max degree), n) index array: column v lists v's neighbours,
+    padded with n, the index of the sweep's all-zero frontier row."""
+    n = g.n
+    width = max(1, max((len(a) for a in g.adj), default=0))
+    table = np.full((width, n), n, dtype=np.intp)
+    for v, row in enumerate(g.adj):
+        table[: len(row), v] = row
+    return table
+
+
+def _packed_pair_sum(g, removed=None, nbrs=None):
     """(sum of d(u,v) over ordered pairs, max distance, connected flag).
 
     Simultaneous BFS from every vertex on bit-packed reach sets: level k
     adds, for every source, the neighbors of its level k-1 frontier.  The
     pair-distance sum accumulates as sum over levels of the pairs still
-    unreached, so no distance matrix is ever materialized.
+    unreached, so no distance matrix is ever materialized.  Neighbour
+    frontiers are ORed in one table row at a time, so the working set stays
+    O(n^2 / 64) words whatever the degree.
+
+    nbrs is g's _neighbour_table (built here when None).  With a removed
+    vertex v the sweep runs on a copy of the table with v replaced by
+    padding everywhere and v's own list all padding: no other row ever
+    reads v's frontier, v's row is empty from level 1 on, and the other
+    n - 1 vertices make the (n - 1)^2 ordered pairs of G - v.
     """
     n = g.n
+    if nbrs is None:
+        nbrs = _neighbour_table(g)
     words = (n + 63) // 64
-    maxdeg = max((len(a) for a in g.adj), default=0)
-    nbrs = np.full((n, max(1, maxdeg)), n, dtype=np.intp)
-    for v, row in enumerate(g.adj):
-        nbrs[v, : len(row)] = row
     idx = np.arange(n)
     frontier = np.zeros((n + 1, words), dtype=np.uint64)
     frontier[idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
-    reached = frontier[:n].copy()
-    reached_bits = n
+    order = n
+    if removed is not None:
+        nbrs = np.where(nbrs == removed, n, nbrs)
+        nbrs[:, removed] = n
+        order = n - 1
+    unreached = ~frontier[:n]
+    new = np.empty_like(unreached)
+    tmp = np.empty_like(unreached)
+    pairs = order * order
+    reached_bits = order
     total = 0
     level = 0
-    while reached_bits < n * n:
+    while reached_bits < pairs:
         level += 1
-        total += n * n - reached_bits
-        new = np.bitwise_or.reduce(frontier[nbrs], axis=1)
-        new &= ~reached
+        total += pairs - reached_bits
+        np.take(frontier, nbrs[0], axis=0, out=new)
+        for column in nbrs[1:]:
+            np.take(frontier, column, axis=0, out=tmp)
+            new |= tmp
+        new &= unreached
         fresh = int(np.bitwise_count(new).sum())
         if fresh == 0:
             return total, level - 1, False
-        reached |= new
+        unreached ^= new
         reached_bits += fresh
         frontier[:n] = new
     return total, level, True
 
 
-def wiener(g: Graph):
-    """Sum of distances over unordered vertex pairs; INFINITE if disconnected."""
-    if g.n <= 1:
+def _pair_total(g, removed, nbrs):
+    """W(g), or W(g - removed) read off g with removed masked out.
+
+    The route follows the order of the graph measured (n - 1 with a removed
+    vertex): packed sweep from _DENSE_MIN_N on, one BFS per source below.
+    """
+    order = g.n if removed is None else g.n - 1
+    if order <= 1:
         return 0
-    if g.n >= _DENSE_MIN_N:
-        total, _, connected = _packed_pair_sum(g)
+    if order >= _DENSE_MIN_N:
+        total, _, connected = _packed_pair_sum(g, removed, nbrs)
         if not connected:
             return INFINITE
         return total // 2
     total = 0
     for src in range(g.n):
-        raw = _bfs_raw(g.adj, g.n, src)
+        if src == removed:
+            continue
+        raw = _bfs_raw(g.adj, g.n, src, removed)
         for d in raw:
             if d < 0:
                 return INFINITE
             total += d
     return total // 2
+
+
+def wiener(g: Graph):
+    """Sum of distances over unordered vertex pairs; INFINITE if disconnected."""
+    return _pair_total(g, None, None)
+
+
+def _wiener_without(g: Graph, v, nbrs=None):
+    """W(G - v), computed on g with v masked out instead of building G - v.
+
+    nbrs is g's _neighbour_table, for callers that evaluate many deletions.
+    """
+    return _pair_total(g, v, nbrs)
 
 
 def transmission(g: Graph, v):
@@ -257,10 +311,12 @@ def _check_automorphism(g, perm, edge_set):
 def soltes_report(g: Graph, automorphisms=None) -> SoltesReport:
     """Per-vertex deletion analysis of a connected graph.
 
-    automorphisms is an optional list of vertex image lists, each an
-    automorphism of g (checked; ValueError otherwise).  W(G-v) is constant
-    on the orbits of the group they generate, so one deletion per orbit is
-    evaluated and its value copied to the rest of the orbit.
+    Each W(G-v) is computed on g itself with v masked out of the distance
+    kernel (_wiener_without); no G-v is built.  automorphisms is an
+    optional list of vertex image lists, each an automorphism of g
+    (checked; ValueError otherwise).  W(G-v) is constant on the orbits of
+    the group they generate, so one deletion per orbit is evaluated and its
+    value copied to the rest of the orbit.
     """
     w = wiener(g)
     if w is INFINITE:
@@ -280,12 +336,13 @@ def soltes_report(g: Graph, automorphisms=None) -> SoltesReport:
             for v, image in enumerate(perm):
                 parent[find(v)] = find(image)
 
+    nbrs = _neighbour_table(g) if g.n - 1 >= _DENSE_MIN_N else None
     per_orbit = {}
     per_vertex = []
     for v in range(g.n):
         root = find(v)
         if root not in per_orbit:
-            per_orbit[root] = wiener(delete_vertex(g, v))
+            per_orbit[root] = _wiener_without(g, v, nbrs)
         per_vertex.append(per_orbit[root])
 
     soltes_set = tuple(v for v in range(g.n) if per_vertex[v] == w)
@@ -400,7 +457,7 @@ def contract_set(g: Graph, vs) -> Graph:
     """Merge the vertices of vs into one, dropping loops and parallels.
 
     The merged vertex sits where min(vs) sat; every other vertex keeps its
-    relative order (compaction as in delete_vertex).
+    relative order (the same compaction as deleting a vertex).
     """
     vs = set(vs)
     if not vs:

@@ -150,27 +150,36 @@ def q_range(t):
     return hits[0], hits[-1]
 
 
-def modify(L: LayerSequence) -> LayerSequence:
-    """Move one unit of layer mass one level deeper.
+def _modify_step(layers):
+    """Apply the modify rule to a list of layer counts in place.
 
     The chosen index is the smallest i with l_i >= 3 and either
     2(l_i - 1) > l_{i+1} + 1 or l_i = l_{i+1} = 3, reading l_{d+1} = 0.
-    Raises SequenceExhausted when no index qualifies.
+    Returns False, leaving layers unchanged, when no index qualifies.
     """
-    layers = L.layers
     d = len(layers)
     for i in range(d):
         li = layers[i]
         nxt = layers[i + 1] if i + 1 < d else 0
         if li >= 3 and (2 * (li - 1) > nxt + 1 or (li == 3 and nxt == 3)):
-            out = list(layers)
-            out[i] -= 1
+            layers[i] -= 1
             if i + 1 < d:
-                out[i + 1] += 1
+                layers[i + 1] += 1
             else:
-                out.append(1)
-            return LayerSequence(out)
-    raise SequenceExhausted(str(L))
+                layers.append(1)
+            return True
+    return False
+
+
+def modify(L: LayerSequence) -> LayerSequence:
+    """Move one unit of layer mass one level deeper (see _modify_step).
+
+    Raises SequenceExhausted when no index qualifies.
+    """
+    layers = list(L.layers)
+    if not _modify_step(layers):
+        raise SequenceExhausted(str(L))
+    return LayerSequence(layers)
 
 
 def sequence_for(D, q, c: PlanConstants) -> LayerSequence:
@@ -178,9 +187,11 @@ def sequence_for(D, q, c: PlanConstants) -> LayerSequence:
     lo, hi = d_min(q, c), d_max(q, c)
     if not lo <= D <= hi:
         raise ValueError(f"D={D} outside [{lo}, {hi}] for q={q}")
-    L = short_sequence(q)
+    layers = list(short_sequence(q).layers)
     for _ in range(D - lo):
-        L = modify(L)
+        if not _modify_step(layers):
+            raise SequenceExhausted(str(LayerSequence(layers)))
+    L = LayerSequence(layers)
     assert d_of(L, c) == D
     return L
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ import soltes.core
 from soltes.core import (ACYCLIC, INFINITE, UNREACHABLE, Graph, bfs_distances,
                          contract_set, delete_vertex, is_biconnected,
                          is_connected, profile, soltes_report, transmission,
-                         wiener, _DENSE_MIN_N, _bfs_raw, _packed_pair_sum)
+                         wiener, _DENSE_MIN_N, _bfs_raw, _neighbour_table,
+                         _packed_pair_sum, _wiener_without)
 
 
 def floyd_warshall(n, edges):
@@ -185,6 +187,57 @@ def test_delete_vertex_relabels_in_order():
         delete_vertex(g, 5)
 
 
+def two_blocks_at_a_cut_vertex(rng, a, b):
+    """Chorded cycles on a and b vertices, both joined only through a hub."""
+    n = a + b + 1
+    edges = [(0, a + b), (a, a + b)]
+    for lo, size in ((0, a), (a, b)):
+        edges += [(lo + i, lo + (i + 1) % size) for i in range(size)]
+        edges += [(lo + i, lo + j) for i in range(size)
+                  for j in range(i + 2, size) if rng.random() < 0.3]
+    return Graph(n, edges)
+
+
+def test_masked_deletion_matches_rebuilt_graph():
+    rng = random.Random(2024)
+    graphs = [random_graph(rng, n, p)
+              for n in (2, 3, 15, 16, 17, 63, 64, 65, 130)
+              for p in (0.05, 0.15, 0.4)]
+    graphs += [random_graph(rng, n, 0.7) for n in (16, 17, 40, 90)]
+    # orders 8, 16, 17, 71: G - v on both sides of the crossover
+    cut = [two_blocks_at_a_cut_vertex(rng, a, b)
+           for a, b in ((3, 4), (7, 8), (8, 8), (40, 30))]
+    finite = infinite = 0
+    for g in graphs + cut:
+        table = _neighbour_table(g)
+        for v in range(g.n):
+            want = wiener(delete_vertex(g, v))
+            assert _wiener_without(g, v) == want, (g, v)
+            assert _wiener_without(g, v, table) == want, (g, v)
+            if want is INFINITE:
+                infinite += 1
+            else:
+                finite += 1
+    for g in cut:
+        assert wiener(g) is not INFINITE
+        assert _wiener_without(g, g.n - 1) is INFINITE
+    assert finite > 1000 and infinite > 100
+
+
+def test_sweep_memory_is_bounded_on_dense_graph():
+    # Gathering every vertex's neighbour frontiers at once held
+    # n x (n - 1) x ceil(n / 64) words, about 32 MB on K_600.
+    n = 600
+    k = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    tracemalloc.start()
+    try:
+        assert wiener(k) == n * (n - 1) // 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
 def test_deletion_never_shortens_distances():
     rng = random.Random(4242)
     checked = 0
@@ -222,13 +275,13 @@ def test_soltes_report_known_graphs():
 
 def count_deletions(monkeypatch):
     calls = []
-    real = soltes.core.delete_vertex
+    real = soltes.core._wiener_without
 
-    def counted(g, v):
+    def counted(g, v, nbrs=None):
         calls.append(v)
-        return real(g, v)
+        return real(g, v, nbrs)
 
-    monkeypatch.setattr(soltes.core, "delete_vertex", counted)
+    monkeypatch.setattr(soltes.core, "_wiener_without", counted)
     return calls
 
 

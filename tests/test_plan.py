@@ -138,6 +138,25 @@ def test_sequence_for_hits_target():
         sequence_for(10 ** 9, 9, PlanConstants(3))
 
 
+def test_sequence_for_matches_chain_for_every_feasible_target():
+    for t in range(3, 7):
+        c = PlanConstants(t)
+        for q in range(1, 26):
+            chain = enumerate_chain(q)
+            lo = d_min(q, c)
+            for D in range(lo, d_max(q, c) + 1):
+                assert sequence_for(D, q, c) == chain[D - lo], (t, q, D)
+
+
+def test_sequence_for_long_walk_pinned():
+    # t = 12 at q = lo: a walk of 14874 modify steps
+    c = PlanConstants(12)
+    assert q_range(12)[0] == 128
+    L = sequence_for(f_poly(12), 128, c)
+    assert L == (2,) * 106 + (3, 4, 6, 9, 17, 5)
+    assert f_poly(12) - d_min(128, c) == 14874
+
+
 def test_plan_constants_delta_override():
     assert PlanConstants(3).delta == 12
     assert PlanConstants(3, 15).delta == 15
