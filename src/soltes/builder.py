@@ -13,8 +13,8 @@ from __future__ import annotations
 from .core import (Graph, _wiener_without, bfs_distances, contract_set,
                    is_biconnected, wiener)
 from .families import LabeledGraph, g_t, g_t_r
-from .plan import (LayerSequence, PlanConstants, d_max, d_min, f_poly,
-                   q_range, sequence_for)
+from .plan import (ConstructionError, LayerSequence, PlanConstants, d_max,
+                   d_min, f_poly, q_range, sequence_for)
 
 
 class ConstructionPlan:
@@ -63,13 +63,15 @@ class ConstructionPlan:
 
 
 def _add_edge(plan, a, b):
-    assert a != b and b not in plan._adj[a], f"parallel edge ({a},{b})"
+    if a == b or b in plan._adj[a]:
+        raise ConstructionError(f"parallel edge ({a},{b})")
     plan._adj[a].add(b)
     plan._adj[b].add(a)
     plan._new_edges.append((a, b))
     plan._free[a] -= 1
     plan._free[b] -= 1
-    assert plan._free[a] >= 0 and plan._free[b] >= 0, f"degree overflow at ({a},{b})"
+    if plan._free[a] < 0 or plan._free[b] < 0:
+        raise ConstructionError(f"degree overflow at ({a},{b})")
 
 
 def realize_trees(base: LabeledGraph, constants: PlanConstants,
@@ -196,7 +198,9 @@ def place_red_edges(plan: ConstructionPlan) -> ConstructionPlan:
                 break
             if placed:
                 break
-        assert placed, f"no red edge placement between levels {i - 1} and {i}"
+        if not placed:
+            raise ConstructionError(
+                f"no red edge placement between levels {i - 1} and {i}")
     return plan
 
 
@@ -216,7 +220,8 @@ def _pool_match(plan, vertices):
             return
         v = live[0]
         partner = next((u for u in live[1:] if u not in plan._adj[v]), None)
-        assert partner is not None, f"blue matching stuck at vertex {v}"
+        if partner is None:
+            raise ConstructionError(f"blue matching stuck at vertex {v}")
         _add_edge(plan, v, partner)
         plan.blue_edges.append((v, partner))
 
@@ -224,8 +229,8 @@ def _pool_match(plan, vertices):
 def _blue_interior(plan, i):
     t1, t2 = plan.levels[i]
     leaves1, leaves2 = _level_leaves(plan, i)
-    if i > 0 and i < len(plan.levels) - 1:
-        assert abs(len(leaves1) - len(leaves2)) <= 1, f"leaf skew at level {i}"
+    if 0 < i < len(plan.levels) - 1 and abs(len(leaves1) - len(leaves2)) > 1:
+        raise ConstructionError(f"leaf skew at level {i}")
     leaves = leaves1 + leaves2
 
     def anchor(a, target_row):
@@ -237,7 +242,9 @@ def _blue_interior(plan, i):
     if len(leaves) >= 3:
         order = _interleave(leaves1, leaves2)
         for v in order:
-            assert plan._free[v] == 2, f"level-{i} leaf {v} lost valency to red"
+            if plan._free[v] != 2:
+                raise ConstructionError(
+                    f"level-{i} leaf {v} lost valency to red")
         for a, b in zip(order, order[1:] + order[:1]):
             _add_edge(plan, a, b)
             plan.blue_edges.append((a, b))
@@ -249,16 +256,19 @@ def _blue_interior(plan, i):
         anchor(leaves[0], other)
 
     parity = sum(plan._free[v] for v in t1 + t2)
-    assert parity % 2 == 0, f"odd free valency total at level {i}"
+    if parity % 2:
+        raise ConstructionError(f"odd free valency total at level {i}")
     _pool_match(plan, t1 + t2)
 
 
 def _blue_last_cycle(plan):
     t1, t2 = plan.levels[-1]
     order = _interleave(t1, t2)
-    assert len(order) >= 3
+    if len(order) < 3:
+        raise ConstructionError(f"last level has {len(order)} vertices, not >= 3")
     for v in order:
-        assert plan._free[v] == 2
+        if plan._free[v] != 2:
+            raise ConstructionError(f"last-level vertex {v} lost valency")
     for a, b in zip(order, order[1:] + order[:1]):
         _add_edge(plan, a, b)
         plan.blue_edges.append((a, b))
@@ -285,7 +295,8 @@ def _blue_joint_tail(plan):
             _add_edge(plan, a, b)
             plan.blue_edges.append((a, b))
     for v in list(up1) + list(up2) + [y1, y2]:
-        assert plan._free[v] == 0, f"unfilled valency at {v} in tail closure"
+        if plan._free[v]:
+            raise ConstructionError(f"unfilled valency at {v} in tail closure")
 
 
 def place_blue_edges(plan: ConstructionPlan) -> ConstructionPlan:
@@ -306,18 +317,26 @@ def assemble(plan: ConstructionPlan) -> Graph:
     """Materialize the plan as a Graph, applying the final contraction."""
     edges = list(plan.base.graph.edges()) + plan._new_edges
     h = Graph(plan._next_id, edges)
-    assert h.m == len(edges), "duplicate edge slipped into the build"
+    if h.m != len(edges):
+        raise ConstructionError("duplicate edge slipped into the build")
     if plan._contract_last:
         triple = plan.levels[-1][0] + plan.levels[-1][1]
-        assert len(triple) == 3
+        if len(triple) != 3:
+            raise ConstructionError(f"contraction needs 3 vertices, got {triple}")
         parents = {plan.tree_parents[v][0] for v in triple}
-        assert len(parents) == 3, "contraction triple shares a parent"
-        assert min(triple) == h.n - 3
+        if len(parents) != 3:
+            raise ConstructionError("contraction triple shares a parent")
+        if min(triple) != h.n - 3:
+            raise ConstructionError(
+                f"contraction triple {triple} is not the last three vertices")
         plan.contraction = tuple(triple)
         h = contract_set(h, triple)
         plan.levels[-1] = ([min(triple)], [])
-    assert h.n == plan.expected_order
-    assert all(h.degree(v) == 3 for v in range(h.n)), "not cubic"
+    if h.n != plan.expected_order:
+        raise ConstructionError(
+            f"built {h.n} vertices, the plan expects {plan.expected_order}")
+    if any(h.degree(v) != 3 for v in range(h.n)):
+        raise ConstructionError("not cubic")
     return h
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .cayley import Permutation
 from .core import Graph
 
@@ -27,23 +29,15 @@ def encode_graph6(g: Graph) -> str:
     """Header-free graph6 text for g."""
     if g.n > _MAX_N:
         raise ValueError(f"graph too large to encode (n={g.n})")
-    # One bitmask per column of the upper triangle: bit (v-1-u) of masks[v]
-    # is the edge (u, v), so the mask already holds column v's bits in
-    # stream order (u = 0 lands on the most significant end).
-    masks = [0] * g.n
-    for u, v in g.edges():
-        masks[v] |= 1 << (v - 1 - u)
-    big = 0
-    for j in range(1, g.n):
-        big = (big << j) | masks[j]
-    nbits = g.n * (g.n - 1) // 2
-    need = (nbits + 5) // 6
-    big <<= need * 6 - nbits
-    chars = [""] * need
-    for k in range(need - 1, -1, -1):
-        chars[k] = chr((big & 63) + 63)
-        big >>= 6
-    return _size_field(g.n) + "".join(chars)
+    # The stream lists the upper triangle column by column, so the pair
+    # (u, v), u < v, is bit v(v-1)/2 + u; each 6-bit group, zero-padded at
+    # the end, becomes one character.
+    n = g.n
+    nbits = n * (n - 1) // 2
+    bits = np.zeros((nbits + 5) // 6 * 6, dtype=np.uint8)
+    bits[[v * (v - 1) // 2 + u for u, v in g.edges()]] = 1
+    groups = np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2
+    return _size_field(n) + (groups + 63).tobytes().decode("ascii")
 
 
 def decode_graph6(s: str) -> Graph:
@@ -80,22 +74,14 @@ def decode_graph6(s: str) -> Graph:
     if len(body) != need:
         raise ValueError(
             f"graph6 body has {len(body)} characters, expected {need} for n={n}")
-    big = 0
-    for ch in body:
-        big = (big << 6) | (ord(ch) - 63)
-    big >>= need * 6 - nbits
-    # Columns come off the bottom of the integer in reverse stream order;
-    # reversing at the end restores lexicographic (u, v) edge order.
-    edges = []
-    for j in range(n - 1, 0, -1):
-        row = big & ((1 << j) - 1)
-        big >>= j
-        while row:
-            low = row & -row
-            row ^= low
-            edges.append((j - low.bit_length(), j))
-    edges.reverse()
-    return Graph(n, edges)
+    groups = np.frombuffer(body.encode("ascii"), dtype=np.uint8) - 63
+    bits = np.unpackbits(groups[:, None] << 2, axis=1, count=6).ravel()[:nbits]
+    pos = np.flatnonzero(bits)
+    # bit p is the pair (u, v) with v(v-1)/2 <= p < v(v+1)/2
+    firsts = np.arange(n) * (np.arange(n) - 1) // 2
+    v = np.searchsorted(firsts, pos, side="right") - 1
+    u = pos - firsts[v]
+    return Graph(n, zip(u.tolist(), v.tolist()))
 
 
 def parse_permutation(s: str, degree: int) -> Permutation:

@@ -4,39 +4,22 @@ The generator grows adjacency for the smallest unsaturated vertex with
 increasing partner indices, touches fresh vertices in index order, and
 skips any partner candidate that duplicates a lower-indexed vertex's
 adjacency mask (the two are swappable by a transposition automorphism,
-so the lower branch already covers the upper one).  Relabelings that
-survive those cuts are discarded at the leaves by bucketing on per-vertex
-invariants and testing isomorphism against each stored representative,
-so every class of connected r-regular graphs on n vertices surfaces
-exactly once.  Classification then counts, per class, how many vertices
-leave the Wiener index unchanged when deleted.
+so the lower branch already covers the upper one).  Every edge added
+touches the current vertex, so the edge that saturates a proper component
+saturates that vertex too, and the branch is cut right there: every leaf
+is connected.  Relabelings that survive those cuts are discarded at the
+leaves by _ClassStore, which buckets on per-vertex invariants (_mask_keys)
+and runs the package's one isomorphism test (_isomorphic) against each
+stored representative, so every class of connected r-regular graphs on n
+vertices surfaces exactly once.  Classification then counts, per class,
+how many vertices leave the Wiener index unchanged when deleted.
 """
 
 from __future__ import annotations
 
-from .core import Graph, _bfs_raw, soltes_report
+from .core import Graph, soltes_report
 
 _SCALE_CAPS = {3: 16, 4: 13}
-
-
-class CanonicalForm:
-    """Relabeling-invariant adjacency encoding; equal iff isomorphic."""
-
-    __slots__ = ("bytes",)
-
-    def __init__(self, data: bytes):
-        self.bytes = data
-
-    def __eq__(self, other):
-        if not isinstance(other, CanonicalForm):
-            return NotImplemented
-        return self.bytes == other.bytes
-
-    def __hash__(self):
-        return hash(self.bytes)
-
-    def __repr__(self):
-        return f"CanonicalForm({self.bytes.hex()})"
 
 
 class TableRow:
@@ -49,7 +32,9 @@ class TableRow:
         self.r = r
         self.total = total
         self.counts = dict(counts)
-        assert sum(self.counts.values()) <= total
+        if sum(self.counts.values()) > total:
+            raise ValueError(
+                f"counts {self.counts} exceed the row total {total}")
 
     def __eq__(self, other):
         if not isinstance(other, TableRow):
@@ -60,76 +45,6 @@ class TableRow:
     def __repr__(self):
         return (f"TableRow(n={self.n}, r={self.r}, total={self.total}, "
                 f"counts={self.counts})")
-
-
-def _refine(adj, colors):
-    n = len(colors)
-    while True:
-        keys = [(colors[v], tuple(sorted(colors[u] for u in adj[v])))
-                for v in range(n)]
-        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        nxt = [rank[keys[v]] for v in range(n)]
-        if nxt == colors:
-            return colors
-        colors = nxt
-
-
-def _cert_bits(adj, colors):
-    n = len(colors)
-    pos = [0] * n
-    for v in range(n):
-        pos[colors[v]] = v
-    bits = 0
-    k = 0
-    for i in range(n):
-        vi = pos[i]
-        row = adj[vi]
-        for j in range(i + 1, n):
-            bits = (bits << 1) | (1 if pos[j] in row else 0)
-            k += 1
-    return bits.to_bytes((k + 7) // 8 or 1, "big")
-
-
-def canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical adjacency bytes via refinement with individualization.
-
-    The starting invariant is each vertex's sorted distance row, which
-    already separates most vertices; remaining ties are broken by trying
-    every vertex of the first non-singleton class and keeping the
-    lexicographically smallest adjacency encoding over all completions.
-    """
-    n = g.n
-    if n > 20:
-        raise ValueError("canonical_form is limited to n <= 20")
-    if n == 0:
-        return CanonicalForm(b"\x00")
-    adj = [set(nbrs) for nbrs in g.adj]
-    rows = [tuple(sorted(_bfs_raw(g.adj, n, v))) for v in range(n)]
-    rank = {k: i for i, k in enumerate(sorted(set(rows)))}
-    start = [rank[rows[v]] for v in range(n)]
-    best = None
-
-    stack = [start]
-    while stack:
-        colors = _refine(adj, stack.pop())
-        cell = None
-        for c in range(n):
-            members = [v for v in range(n) if colors[v] == c]
-            if len(members) > 1:
-                cell = members
-                break
-            if not members:
-                break
-        if cell is None:
-            cert = _cert_bits(adj, colors)
-            if best is None or cert < best:
-                best = cert
-            continue
-        for v in cell:
-            child = [2 * c for c in colors]
-            child[v] -= 1
-            stack.append(child)
-    return CanonicalForm(best)
 
 
 def _mask_keys(n, masks, intern):
@@ -221,6 +136,36 @@ def _isomorphic(n, a1, keys1, a2, keys2):
     return place(0, 0)
 
 
+class _ClassStore:
+    """The classes seen so far, one adjacency-mask representative each.
+
+    Representatives are bucketed on their sorted _mask_keys, so a new graph
+    runs _isomorphic only against the same-bucket representatives.
+    """
+
+    __slots__ = ("n", "buckets", "intern")
+
+    def __init__(self, n):
+        self.n = n
+        self.buckets = {}
+        self.intern = {}
+
+    def add(self, masks):
+        """True, and a copy of masks is stored, when its class is new."""
+        n = self.n
+        keys = _mask_keys(n, masks, self.intern)
+        bucket = self.buckets.setdefault(tuple(sorted(keys)), [])
+        for i, (held, held_keys) in enumerate(bucket):
+            if _isomorphic(n, masks, keys, held, held_keys):
+                if i:
+                    # duplicates arrive in runs; keep the hot
+                    # representative in front
+                    bucket.insert(0, bucket.pop(i))
+                return False
+        bucket.append((masks.copy(), keys))
+        return True
+
+
 def gen_regular(n, r):
     """Yield one representative per class of connected r-regular graphs."""
     if n <= r:
@@ -230,8 +175,7 @@ def gen_regular(n, r):
 
     adjm = [0] * n
     deg = [0] * n
-    buckets = {}
-    intern = {}
+    store = _ClassStore(n)
     found = []
     full = (1 << n) - 1
 
@@ -255,29 +199,7 @@ def gen_regular(n, r):
                 v = x
                 break
         if v < 0:
-            seen = frontier = 1
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= adjm[b.bit_length() - 1]
-                frontier = nxt & ~seen
-                seen |= frontier
-            if seen != full:
-                return
-            keys = _mask_keys(n, adjm, intern)
-            bucket = buckets.setdefault(tuple(sorted(keys)), [])
-            for i, (ha, hkeys) in enumerate(bucket):
-                if _isomorphic(n, adjm, keys, ha, hkeys):
-                    if i:
-                        # duplicates arrive in runs; keep the hot
-                        # representative in front
-                        bucket.insert(0, bucket.pop(i))
-                    break
-            else:
-                bucket.append((adjm.copy(), keys))
+            if store.add(adjm):
                 edges = [(a, b) for a in range(n) for b in range(a + 1, n)
                          if adjm[a] >> b & 1]
                 found.append(Graph(n, edges))

@@ -13,6 +13,13 @@ from __future__ import annotations
 import math
 
 
+class ConstructionError(Exception):
+    """A construction or plan invariant failed: the program is at fault.
+
+    Not a ValueError, which the command line reads as bad input (exit 2).
+    """
+
+
 class SequenceExhausted(Exception):
     """modify() found no applicable index (the all-twos profile is terminal)."""
 
@@ -146,19 +153,22 @@ def q_range(t):
     if not hits:
         raise ValueError(f"no q admits target {target} for t={t}")
     # d_min and d_max are both increasing in q, so the hit set is an interval
-    assert hits == list(range(hits[0], hits[-1] + 1))
+    if hits != list(range(hits[0], hits[-1] + 1)):
+        raise ConstructionError(f"feasible q for t={t} are not an interval: {hits}")
     return hits[0], hits[-1]
 
 
-def _modify_step(layers):
+def _modify_step(layers, start=0):
     """Apply the modify rule to a list of layer counts in place.
 
     The chosen index is the smallest i with l_i >= 3 and either
     2(l_i - 1) > l_{i+1} + 1 or l_i = l_{i+1} = 3, reading l_{d+1} = 0.
-    Returns False, leaving layers unchanged, when no index qualifies.
+    The search begins at start, for callers that know no smaller index
+    qualifies.  Returns the chosen index, or -1, leaving layers unchanged,
+    when no index qualifies.
     """
     d = len(layers)
-    for i in range(d):
+    for i in range(start, d):
         li = layers[i]
         nxt = layers[i + 1] if i + 1 < d else 0
         if li >= 3 and (2 * (li - 1) > nxt + 1 or (li == 3 and nxt == 3)):
@@ -167,8 +177,8 @@ def _modify_step(layers):
                 layers[i + 1] += 1
             else:
                 layers.append(1)
-            return True
-    return False
+            return i
+    return -1
 
 
 def modify(L: LayerSequence) -> LayerSequence:
@@ -177,7 +187,7 @@ def modify(L: LayerSequence) -> LayerSequence:
     Raises SequenceExhausted when no index qualifies.
     """
     layers = list(L.layers)
-    if not _modify_step(layers):
+    if _modify_step(layers) < 0:
         raise SequenceExhausted(str(L))
     return LayerSequence(layers)
 
@@ -188,11 +198,17 @@ def sequence_for(D, q, c: PlanConstants) -> LayerSequence:
     if not lo <= D <= hi:
         raise ValueError(f"D={D} outside [{lo}, {hi}] for q={q}")
     layers = list(short_sequence(q).layers)
+    start = 0
     for _ in range(D - lo):
-        if not _modify_step(layers):
+        i = _modify_step(layers, start)
+        if i < 0:
             raise SequenceExhausted(str(LayerSequence(layers)))
+        # the step changed only l_i and l_{i+1}, so the conditions at the
+        # indices below i - 1 are unchanged, and none of them qualified
+        start = max(i - 1, 0)
     L = LayerSequence(layers)
-    assert d_of(L, c) == D
+    if d_of(L, c) != D:
+        raise ConstructionError(f"modify walk reached {d_of(L, c)}, not D={D}")
     return L
 
 

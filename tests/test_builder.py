@@ -1,5 +1,8 @@
 """Attachment pipeline: tree growth, red/blue completion, full builds."""
 
+import subprocess
+import sys
+
 import pytest
 
 from soltes.builder import (assemble, build_many_soltes,
@@ -8,7 +11,8 @@ from soltes.builder import (assemble, build_many_soltes,
                             verify_construction)
 from soltes.core import delete_vertex, is_biconnected, wiener
 from soltes.families import g_t
-from soltes.plan import LayerSequence, PlanConstants, d_of, f_poly
+from soltes.plan import (ConstructionError, LayerSequence, PlanConstants,
+                         d_of, f_poly)
 
 
 def build_shape(layers, t=3):
@@ -198,3 +202,27 @@ def test_plan_serialization_roundtrips_json():
     assert blob["layers"] == [3, 3, 5, 7]
     assert len(blob["tree_parents"]) == 2 * 9
     assert blob["labels"]["u1"] == plan.base["u1"]
+
+
+# Doubles the first tree edge of a fresh plan.
+PLANT_PARALLEL_EDGE = """
+from soltes.builder import _add_edge, realize_trees
+from soltes.families import g_t
+from soltes.plan import LayerSequence, PlanConstants
+plan = realize_trees(g_t(3), PlanConstants(3), LayerSequence((3, 3)))
+child, (parent, _, _) = next(iter(plan.tree_parents.items()))
+_add_edge(plan, parent, child)
+"""
+
+
+def test_planted_parallel_edge_raises_construction_error():
+    assert not issubclass(ConstructionError, ValueError)
+    with pytest.raises(ConstructionError, match="parallel edge"):
+        exec(PLANT_PARALLEL_EDGE, {})
+    # the leading assert proves python -O strips asserts in the child
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", "assert False\n" + PLANT_PARALLEL_EDGE],
+        capture_output=True, text=True)
+    # an uncaught ConstructionError: exit 1, as for a failed build
+    assert r.returncode == 1, r.stderr
+    assert "ConstructionError: parallel edge" in r.stderr

@@ -56,6 +56,24 @@ def test_roundtrip_medium_and_large_size_fields():
         assert decode_graph6(s) == g
 
 
+def test_matches_networkx_graph6():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3)
+    for n in (1, 62, 63, 64, 65, 300):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.1]
+        g = Graph(n, edges)
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(edges)
+        ref_text = nx.to_graph6_bytes(ref, header=False).decode().strip()
+        assert encode_graph6(g) == ref_text
+        assert decode_graph6(ref_text) == g
+        back = nx.from_graph6_bytes(encode_graph6(g).encode())
+        assert sorted(back.nodes) == list(range(n))
+        assert Graph(n, back.edges) == g
+
+
 def test_size_field_switches_form_at_spec_limit():
     # graph6: 4-byte form for 63 <= n <= 258047, 8-byte form above
     assert _size_field(62) == "}"
