@@ -81,7 +81,13 @@ def decode_graph6(s: str) -> Graph:
     firsts = np.arange(n) * (np.arange(n) - 1) // 2
     v = np.searchsorted(firsts, pos, side="right") - 1
     u = pos - firsts[v]
-    return Graph(n, zip(u.tolist(), v.tolist()))
+    # Pairs arrive by column v, then row u, so each vertex gets its smaller
+    # neighbours (from its own column) in order before its larger ones.
+    nbrs = [[] for _ in range(n)]
+    for a, b in zip(u.tolist(), v.tolist()):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return Graph._from_adj(tuple(map(tuple, nbrs)))
 
 
 def parse_permutation(s: str, degree: int) -> Permutation:

@@ -66,6 +66,19 @@ class Graph:
         self.adj = tuple(tuple(sorted(nbrs)) for nbrs in lists)
         self.m = len(seen)
 
+    @classmethod
+    def _from_adj(cls, adj):
+        """Graph with adj taken as is, without the checks of __init__.
+
+        adj must already be what __init__ builds: one strictly increasing
+        tuple of neighbours per vertex, symmetric, without self-loops.
+        """
+        g = object.__new__(cls)
+        g.n = len(adj)
+        g.adj = adj
+        g.m = sum(map(len, adj)) // 2
+        return g
+
     def edges(self):
         """Yield each edge once as (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):

@@ -1,16 +1,29 @@
 """Exhaustive generation of small connected regular graphs up to isomorphism.
 
-The generator grows adjacency for the smallest unsaturated vertex with
-increasing partner indices, touches fresh vertices in index order, and
-skips any partner candidate that duplicates a lower-indexed vertex's
-adjacency mask (the two are swappable by a transposition automorphism,
-so the lower branch already covers the upper one).  Every edge added
+The generator grows adjacency for the smallest unsaturated vertex v with
+increasing partner indices and touches fresh vertices in index order;
+with no further cut it would emit every such breadth-first labelling from
+every start vertex.  It skips a partner candidate u whose adjacency mask
+duplicates that of a lower vertex up != v: the transposition (up u) is
+then an automorphism of the partial graph, so the branch for up already
+covers the one for u.  That transposition never moves vertex 0: u > v,
+and up != 0, because if v > 0 vertex 0 is saturated and u is not, so
+their masks differ, and if v = 0 then up != v.  So every pair (class,
+vertex) still has a leaf that labels that vertex 0.  Every edge added
 touches the current vertex, so the edge that saturates a proper component
 saturates that vertex too, and the branch is cut right there: every leaf
-is connected.  Relabelings that survive those cuts are discarded at the
-leaves by _ClassStore, which buckets on per-vertex invariants (_mask_keys)
-and runs the package's one isomorphism test (_isomorphic) against each
-stored representative, so every class of connected r-regular graphs on n
+is connected.
+
+At a leaf each vertex has an invariant key (_raw_key: BFS level sizes,
+then sorted shared-neighbour counts), and _root_min_keys drops the leaf as
+soon as some vertex's key is below vertex 0's.  Some leaf of each class
+labels a minimal-key vertex 0, so no class is lost; ties are kept.  The
+recursion cuts a branch early when one of its vertices, with all its
+neighbours saturated, already has fewer vertices at distance 2 than
+vertex 0: its key would be the smaller at every leaf of that branch.  The
+surviving leaves reach _ClassStore, which buckets on the sorted keys and
+runs the package's one isomorphism test (_isomorphic) against each stored
+representative, so every class of connected r-regular graphs on n
 vertices surfaces exactly once.  Classification then counts, per class,
 how many vertices leave the Wiener index unchanged when deleted.
 """
@@ -47,34 +60,56 @@ class TableRow:
                 f"counts={self.counts})")
 
 
-def _mask_keys(n, masks, intern):
-    """Per-vertex invariant: distance level profile + shared-neighbour counts.
+def _raw_key(masks, v):
+    """Vertex v's invariant: BFS level sizes, sorted shared-neighbour counts.
 
     The level profile is the number of vertices at each BFS distance; the
     second part sorts |N(v) ∩ N(u)| over every u (u = v contributes the
     degree).  Together they separate most vertices of same-degree graphs,
-    which keeps the matching below cheap and the buckets nearly pure.  Each
-    distinct profile is interned through the shared dict so the returned
-    keys are small ints that compare and hash in one step.
+    which keeps the matching below cheap and the buckets nearly pure.  Keys
+    are isomorphism invariants and compare as tuples.
+    """
+    seen = frontier = 1 << v
+    levels = []
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            b = f & -f
+            f ^= b
+            nxt |= masks[b.bit_length() - 1]
+        frontier = nxt & ~seen
+        seen |= frontier
+        if frontier:
+            levels.append(frontier.bit_count())
+    mv = masks[v]
+    shared = sorted(map(int.bit_count, map(mv.__and__, masks)))
+    return tuple(levels), tuple(shared)
+
+
+def _root_min_keys(n, masks):
+    """Every vertex's _raw_key, or None once one is below vertex 0's.
+
+    Vertex 0 may tie with others; it only has to be minimal.
+    """
+    root = _raw_key(masks, 0)
+    raw = [root]
+    for v in range(1, n):
+        key = _raw_key(masks, v)
+        if key < root:
+            return None
+        raw.append(key)
+    return raw
+
+
+def _mask_keys(raw, intern):
+    """Each vertex's _raw_key, interned through the shared dict to an int.
+
+    Interned ids compare and hash in one step but depend on arrival order,
+    so only equality between them means anything.
     """
     keys = []
-    for v in range(n):
-        seen = frontier = 1 << v
-        levels = []
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= masks[b.bit_length() - 1]
-            frontier = nxt & ~seen
-            seen |= frontier
-            if frontier:
-                levels.append(frontier.bit_count())
-        mv = masks[v]
-        shared = sorted(map(int.bit_count, map(mv.__and__, masks)))
-        key = (tuple(levels), tuple(shared))
+    for key in raw:
         kid = intern.get(key)
         if kid is None:
             kid = len(intern)
@@ -133,7 +168,11 @@ def _isomorphic(n, a1, keys1, a2, keys2):
                 image[v] = -1
         return False
 
-    return place(0, 0)
+    found = place(0, 0)
+    # place reaches itself through its closure; breaking that cycle frees
+    # the search state on return, not at the next cyclic collection
+    del place
+    return found
 
 
 class _ClassStore:
@@ -150,10 +189,13 @@ class _ClassStore:
         self.buckets = {}
         self.intern = {}
 
-    def add(self, masks):
-        """True, and a copy of masks is stored, when its class is new."""
+    def add(self, masks, raw):
+        """True, and a copy of masks is stored, when its class is new.
+
+        raw lists each vertex's _raw_key in masks.
+        """
         n = self.n
-        keys = _mask_keys(n, masks, self.intern)
+        keys = _mask_keys(raw, self.intern)
         bucket = self.buckets.setdefault(tuple(sorted(keys)), [])
         for i, (held, held_keys) in enumerate(bucket):
             if _isomorphic(n, masks, keys, held, held_keys):
@@ -172,6 +214,8 @@ def gen_regular(n, r):
         raise ValueError("need n > r")
     if (n * r) % 2:
         raise ValueError(f"no {r}-regular graph on {n} vertices: odd n*r")
+    if r == 0 and n > 1:
+        return  # n isolated vertices: no connected graph
 
     adjm = [0] * n
     deg = [0] * n
@@ -182,15 +226,25 @@ def gen_regular(n, r):
     def closed_small_component(v):
         comp = frontier = 1 << v
         while frontier:
-            x = frontier & -frontier
-            frontier ^= x
-            xi = x.bit_length() - 1
+            # unsaturated vertices sit above v: pop the highest first
+            xi = frontier.bit_length() - 1
+            frontier ^= 1 << xi
             if deg[xi] < r:
                 return False
             new = adjm[xi] & ~comp
             comp |= new
             frontier |= new
         return comp != full
+
+    def second_level(x):
+        """How many vertices are at distance 2 from x."""
+        ax = adjm[x]
+        reach = 0
+        while ax:
+            b = ax & -ax
+            ax ^= b
+            reach |= adjm[b.bit_length() - 1]
+        return (reach & ~adjm[x] & ~(1 << x)).bit_count()
 
     def rec(prev, lo):
         v = -1
@@ -199,13 +253,29 @@ def gen_regular(n, r):
                 v = x
                 break
         if v < 0:
-            if store.add(adjm):
-                edges = [(a, b) for a in range(n) for b in range(a + 1, n)
-                         if adjm[a] >> b & 1]
-                found.append(Graph(n, edges))
+            raw = _root_min_keys(n, adjm)
+            if raw is not None and store.add(adjm, raw):
+                found.append(Graph._from_adj(tuple(
+                    tuple(b for b in range(n) if a >> b & 1) for a in adjm)))
             return
         if v != prev:
             lo = v + 1
+            # 0..v-1 are saturated.  A vertex x that now lies below v
+            # together with its neighbours, and did not below prev, has
+            # reached its final second BFS level; vertex 0's can only grow
+            # from here, as its neighbours are fixed.  If x's is already
+            # the smaller, x's key is below vertex 0's at every leaf under
+            # this node, and _root_min_keys would drop them all.
+            if v:
+                top = 1 << v
+                seen = 1 << prev
+                s0 = -1
+                for x in range(1, v):
+                    if seen <= adjm[x] | 1 << x < top:
+                        if s0 < 0:
+                            s0 = second_level(0)
+                        if second_level(x) < s0:
+                            return
         fresh = -1
         for x in range(n):
             if deg[x] == 0 and x != v:
@@ -240,6 +310,7 @@ def gen_regular(n, r):
             deg[u] -= 1
 
     rec(-1, 0)
+    del rec  # the same cycle as place in _isomorphic
     yield from found
 
 

@@ -2,11 +2,14 @@
 
 import pytest
 
-from soltes.enumeration import _ClassStore
+from soltes.enumeration import _ClassStore, _raw_key
 
 
-def _masks(g):
-    return [sum(1 << u for u in nbrs) for nbrs in g.adj]
+def leaf(g):
+    """(adjacency masks, raw vertex keys) of g, as the generator's leaf
+    hands them to the class store."""
+    masks = [sum(1 << u for u in nbrs) for nbrs in g.adj]
+    return masks, [_raw_key(masks, v) for v in range(g.n)]
 
 
 @pytest.fixture
@@ -17,6 +20,6 @@ def same_class():
         if a.n != b.n:
             return False
         store = _ClassStore(a.n)
-        store.add(_masks(a))
-        return not store.add(_masks(b))
+        store.add(*leaf(a))
+        return not store.add(*leaf(b))
     return check

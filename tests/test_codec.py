@@ -44,6 +44,20 @@ def test_roundtrip_random():
         assert decode_graph6(encode_graph6(g)) == g
 
 
+def test_decoded_graph_is_what_the_constructor_builds():
+    # decode_graph6 skips Graph.__init__'s checks; its result must still be
+    # the same object state: n, m and sorted tuples of plain ints
+    rng = random.Random(3)
+    for n in (0, 1, 2, 5, 63, 64, 200):
+        for p in (0.0, 0.1, 0.5, 1.0):
+            g = Graph(n, [(v, u) for u in range(n) for v in range(u)
+                          if rng.random() < p])
+            h = decode_graph6(encode_graph6(g))
+            assert (h.n, h.m, h.adj) == (g.n, g.m, g.adj)
+            assert all(type(a) is tuple for a in h.adj)
+            assert all(type(u) is int for a in h.adj for u in a)
+
+
 def test_roundtrip_medium_and_large_size_fields():
     rng = random.Random(2)
     for n in (62, 63, 100, 258, 1000):

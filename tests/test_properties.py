@@ -1,0 +1,98 @@
+"""Property tests: the masked deletion against a plain-BFS oracle.
+
+Examples are derandomized, so every run draws the same graphs.
+"""
+
+import random
+
+import pytest
+
+from soltes.core import (INFINITE, Graph, _DENSE_MIN_N, _bfs_raw,
+                         _wiener_without, delete_vertex, soltes_report, wiener)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SETTINGS = hypothesis.settings(derandomize=True, database=None, deadline=None,
+                               max_examples=120)
+
+
+def bfs_wiener(g):
+    """W(g) from one plain BFS per source; INFINITE across components."""
+    total = 0
+    for src in range(g.n):
+        dist = _bfs_raw(g.adj, g.n, src)
+        if min(dist) < 0:
+            return INFINITE
+        total += sum(dist)
+    return total // 2
+
+
+def block(rng, lo, size, p):
+    """Edges of a connected graph on lo..lo+size-1: a path plus chords."""
+    edges = [(lo + i, lo + i + 1) for i in range(size - 1)]
+    edges += [(lo + i, lo + j) for i in range(size)
+              for j in range(i + 2, size) if rng.random() < p]
+    return edges
+
+
+@st.composite
+def graphs(draw):
+    """Random graphs of order 1..41 at any density, or two connected blocks
+    either apart ("split") or both joined to one hub, a cut vertex ("cut").
+    """
+    kind = draw(st.sampled_from(("random", "split", "cut")))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    p = draw(st.sampled_from((0.0, 0.05, 0.15, 0.4, 0.7, 1.0)))
+    if kind == "random":
+        n = draw(st.integers(1, 40))
+        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.random() < p])
+    a = draw(st.integers(1, 20))
+    b = draw(st.integers(1, 20))
+    edges = block(rng, 0, a, p) + block(rng, a, b, p)
+    if kind == "split":
+        return Graph(a + b, edges)
+    hub = a + b
+    edges += [(rng.randrange(a), hub), (a + rng.randrange(b), hub)]
+    return Graph(a + b + 1, edges)
+
+
+@SETTINGS
+@hypothesis.given(graphs())
+def test_masked_deletion_matches_bfs_oracle(g):
+    want = [bfs_wiener(delete_vertex(g, v)) for v in range(g.n)]
+    assert [_wiener_without(g, v) for v in range(g.n)] == want
+    w = bfs_wiener(g)
+    assert wiener(g) == w
+    if w is INFINITE:
+        with pytest.raises(ValueError):
+            soltes_report(g)
+        return
+    report = soltes_report(g)
+    assert list(report.per_vertex) == want
+    assert report.soltes_set == tuple(v for v in range(g.n) if want[v] == w)
+
+
+def test_strategy_reaches_every_case():
+    # the cases the property must see: G - v on both sides of the sweep
+    # crossover, dense graphs on both sides, cut vertices, disconnected G
+    seen = set()
+
+    @SETTINGS
+    @hypothesis.given(graphs())
+    def record(g):
+        order = g.n - 1
+        side = "sweep" if order >= _DENSE_MIN_N else "bfs"
+        seen.add(side)
+        if g.n > 2 and 2 * g.m > 0.5 * g.n * (g.n - 1):
+            seen.add("dense " + side)
+        w = bfs_wiener(g)
+        seen.add("disconnected" if w is INFINITE else "connected")
+        if w is not INFINITE and any(bfs_wiener(delete_vertex(g, v))
+                                     is INFINITE for v in range(g.n)):
+            seen.add("cut vertex")
+
+    record()
+    assert seen == {"sweep", "bfs", "dense sweep", "dense bfs",
+                    "disconnected", "connected", "cut vertex"}
