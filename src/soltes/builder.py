@@ -10,8 +10,8 @@ without changing the Wiener index.
 
 from __future__ import annotations
 
-from .core import (Graph, _wiener_without, bfs_distances, contract_set,
-                   is_biconnected, wiener)
+from .core import (Graph, _wieners, bfs_distances, contract_set,
+                   is_biconnected)
 from .families import LabeledGraph, g_t, g_t_r
 from .plan import (ConstructionError, LayerSequence, PlanConstants, d_max,
                    d_min, f_poly, q_range, sequence_for)
@@ -380,8 +380,8 @@ def build_many_soltes(t, r, q=None):
     base = g_t_r(t, r)
     delta = bfs_distances(base.graph, base["v1"])[base["u1"]]
     constants = PlanConstants(t, delta)
-    w0 = wiener(base.graph)
-    gap = _wiener_without(base.graph, base["u1"]) - w0
+    w0, w1 = _wieners(base.graph, [None, base["u1"]])
+    gap = w1 - w0
     feasible = []
     qq = 1
     while d_min(qq, constants) <= gap:
@@ -410,9 +410,9 @@ def verify_construction(h: Graph, plan: ConstructionPlan) -> dict:
         for v in t1 + t2:
             if min(d_v1[v], d_v2[v]) != i:
                 layering = False
-    w = wiener(h)
     centers = base.labels.get("centers", (base["u1"], base["u2"]))
-    per_center = {c: _wiener_without(h, c) for c in centers}
+    w, *values = _wieners(h, [None, *centers])
+    per_center = dict(zip(centers, values))
     report = {
         "order": h.n == plan.expected_order,
         "regular": all(h.degree(v) == 3 for v in range(h.n)),

@@ -3,6 +3,11 @@
 Vertices are integers 0..n-1.  All distance sums are exact integers; a
 disconnected graph has Wiener index INFINITE, a sentinel that supports
 equality checks only (any arithmetic with it raises TypeError on purpose).
+
+There is one all-pairs distance kernel, _packed_pair_sums: a bit-packed
+simultaneous BFS that evaluates W(G) and any number of W(G - v) in one
+batched sweep on g itself, so no G - v is ever built.  wiener, profile and
+soltes_report all go through it; _bfs_raw serves single-source queries.
 """
 
 from __future__ import annotations
@@ -29,12 +34,13 @@ INFINITE = _Sentinel("INFINITE")
 UNREACHABLE = _Sentinel("UNREACHABLE")
 ACYCLIC = _Sentinel("ACYCLIC")
 
-# From this order on, all-pairs sums use the packed sweep; below it, one
-# pure-python BFS per source, which costs less than the sweep's numpy set-up
-# on tiny graphs.  On random cubic graphs the two break even near n = 14; the
-# census graphs (n <= 14) stay on the BFS, which keeps the census about 5 %
-# faster than the sweep alone would.
-_DENSE_MIN_N = 16
+# Words of 64 bits per sweep array: a chunk of _packed_pair_sums holds
+# max(1, _SWEEP_WORDS // ((n + 1) * ceil(n / 64))) slices.  Four such arrays
+# are live at once (frontier, unreached and two gather buffers), 256 KB in
+# all.  Larger chunks pay numpy's per-call overhead fewer times; 2^11 words
+# gave no gain over one sweep per deletion on the scan benchmark, 2^13 most
+# of the gain at half the memory of 2^14.
+_SWEEP_WORDS = 2 ** 13
 
 
 class Graph:
@@ -148,15 +154,9 @@ class SoltesReport:
                 f"soltes_set={self.soltes_set}, alpha={self.alpha})")
 
 
-def _bfs_raw(adj, n, src, blocked=None):
-    """Distance list with -1 for unreachable vertices.
-
-    A blocked vertex is marked seen (distance 0) before the search starts,
-    so the search never passes through it and it adds nothing to a sum.
-    """
+def _bfs_raw(adj, n, src):
+    """Distance list with -1 for unreachable vertices."""
     dist = [-1] * n
-    if blocked is not None:
-        dist[blocked] = 0
     dist[src] = 0
     queue = deque((src,))
     while queue:
@@ -188,95 +188,97 @@ def _neighbour_table(g):
     return table
 
 
-def _packed_pair_sum(g, removed=None, nbrs=None):
-    """(sum of d(u,v) over ordered pairs, max distance, connected flag).
+def _packed_pair_sums(g, removed, nbrs=None):
+    """[(sum of d(x, y) over ordered pairs, last level, connected flag)],
+    one per entry of removed: g - v for a vertex v, g itself for None.
 
     Simultaneous BFS from every vertex on bit-packed reach sets: level k
-    adds, for every source, the neighbors of its level k-1 frontier.  The
-    pair-distance sum accumulates as sum over levels of the pairs still
+    adds, for every source, the neighbours of its level k-1 frontier.  The
+    pair-distance sum accumulates as the sum over levels of the pairs still
     unreached, so no distance matrix is ever materialized.  Neighbour
     frontiers are ORed in one table row at a time, so the working set stays
-    O(n^2 / 64) words whatever the degree.
+    four chunk-sized arrays whatever the degree.
 
-    nbrs is g's _neighbour_table (built here when None).  With a removed
-    vertex v the sweep runs on a copy of the table with v replaced by
-    padding everywhere and v's own list all padding: no other row ever
-    reads v's frontier, v's row is empty from level 1 on, and the other
-    n - 1 vertices make the (n - 1)^2 ordered pairs of G - v.
+    The entries run in chunks, each a (slices, n + 1, words) frontier array
+    of as many slices as _SWEEP_WORDS allows (at least one); row n of every
+    slice is the all-zero row the table's padding points at.  All slices
+    share nbrs, g's _neighbour_table (built here when None).  A removed
+    vertex v is masked through its slice's start state alone: v's identity
+    bit is cleared, v's unreached row is zeroed and v's bit is cleared in
+    every unreached row.  So v's frontier stays empty, no source ever
+    reaches v, and the other vertices make the (n - 1)^2 ordered pairs of
+    g - v.  A slice stops counting after its last level, or when a level
+    reaches nothing new while pairs remain, which clears its connected flag
+    (the sum and level are then partial).
+
+    Totals are exact in int64: a sum is below n^3, and n^3 < 2^63 for every
+    n whose (n + 1) x n bit slice fits in memory (n < 2^21).
     """
     n = g.n
     if nbrs is None:
         nbrs = _neighbour_table(g)
     words = (n + 63) // 64
+    step = max(1, _SWEEP_WORDS // max(1, (n + 1) * words))
     idx = np.arange(n)
-    frontier = np.zeros((n + 1, words), dtype=np.uint64)
-    frontier[idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
-    order = n
-    if removed is not None:
-        nbrs = np.where(nbrs == removed, n, nbrs)
-        nbrs[:, removed] = n
-        order = n - 1
-    unreached = ~frontier[:n]
-    new = np.empty_like(unreached)
-    tmp = np.empty_like(unreached)
-    pairs = order * order
-    reached_bits = order
-    total = 0
-    level = 0
-    while reached_bits < pairs:
-        level += 1
-        total += pairs - reached_bits
-        frontier.take(nbrs[0], axis=0, out=new)
-        for column in nbrs[1:]:
-            frontier.take(column, axis=0, out=tmp)
-            new |= tmp
-        new &= unreached
-        fresh = int(np.bitwise_count(new).sum())
-        if fresh == 0:
-            return total, level - 1, False
-        unreached ^= new
-        reached_bits += fresh
-        frontier[:n] = new
-    return total, level, True
+    bits = np.uint64(1) << (idx & 63).astype(np.uint64)
+    out = []
+    for lo in range(0, len(removed), step):
+        chunk = removed[lo:lo + step]
+        b = len(chunk)
+        frontier = np.zeros((b, n + 1, words), dtype=np.uint64)
+        frontier[:, idx, idx >> 6] = bits
+        unreached = ~frontier[:, :n]
+        order = np.full(b, n, dtype=np.int64)
+        hit = [s for s, v in enumerate(chunk) if v is not None]
+        if hit:
+            s = np.array(hit)
+            v = np.array([chunk[i] for i in hit])
+            frontier[s, v] = 0
+            unreached[s, v] = 0
+            unreached[s, :, v >> 6] &= ~bits[v][:, None]
+            order[s] = n - 1
+        remaining = order * (order - 1)
+        total = np.zeros(b, dtype=np.int64)
+        level = np.zeros(b, dtype=np.int64)
+        connected = np.ones(b, dtype=bool)
+        live = remaining > 0
+        new = np.empty_like(unreached)
+        tmp = np.empty_like(unreached)
+        while live.any():
+            total += remaining * live
+            # every index is in 0..n, and "clip" writes out directly where
+            # the default "raise" goes through a buffered copy
+            frontier.take(nbrs[0], axis=1, out=new, mode="clip")
+            for column in nbrs[1:]:
+                frontier.take(column, axis=1, out=tmp, mode="clip")
+                new |= tmp
+            new &= unreached
+            fresh = np.bitwise_count(new).sum(axis=(1, 2), dtype=np.int64)
+            grown = fresh > 0
+            level += grown
+            remaining -= fresh
+            connected &= grown | ~live
+            live &= grown & (remaining > 0)
+            unreached ^= new
+            frontier[:, :n] = new
+        out.extend(zip(total.tolist(), level.tolist(), connected.tolist()))
+    return out
 
 
-def _pair_total(g, removed, nbrs):
-    """W(g), or W(g - removed) read off g with removed masked out.
-
-    The route follows the order of the graph measured (n - 1 with a removed
-    vertex): packed sweep from _DENSE_MIN_N on, one BFS per source below.
-    """
-    order = g.n if removed is None else g.n - 1
-    if order <= 1:
-        return 0
-    if order >= _DENSE_MIN_N:
-        total, _, connected = _packed_pair_sum(g, removed, nbrs)
-        if not connected:
-            return INFINITE
-        return total // 2
-    total = 0
-    for src in range(g.n):
-        if src == removed:
-            continue
-        raw = _bfs_raw(g.adj, g.n, src, removed)
-        for d in raw:
-            if d < 0:
-                return INFINITE
-            total += d
-    return total // 2
+def _wieners(g, removed, nbrs=None):
+    """[W(g - v) for v in removed], W(g) for None; INFINITE if disconnected."""
+    return [total // 2 if connected else INFINITE
+            for total, _, connected in _packed_pair_sums(g, removed, nbrs)]
 
 
 def wiener(g: Graph):
     """Sum of distances over unordered vertex pairs; INFINITE if disconnected."""
-    return _pair_total(g, None, None)
+    return _wieners(g, [None])[0]
 
 
 def _wiener_without(g: Graph, v, nbrs=None):
-    """W(G - v), computed on g with v masked out instead of building G - v.
-
-    nbrs is g's _neighbour_table, for callers that evaluate many deletions.
-    """
-    return _pair_total(g, v, nbrs)
+    """W(G - v), computed on g with v masked out instead of building G - v."""
+    return _wieners(g, [v], nbrs)[0]
 
 
 def transmission(g: Graph, v):
@@ -325,16 +327,13 @@ def _check_automorphism(g, perm, edge_set):
 def soltes_report(g: Graph, automorphisms=None) -> SoltesReport:
     """Per-vertex deletion analysis of a connected graph.
 
-    Each W(G-v) is computed on g itself with v masked out of the distance
-    kernel (_wiener_without); no G-v is built.  automorphisms is an
-    optional list of vertex image lists, each an automorphism of g
+    W(G) and each W(G-v) come from one batched sweep on g itself
+    (_packed_pair_sums), with v masked out; no G-v is built.  automorphisms
+    is an optional list of vertex image lists, each an automorphism of g
     (checked; ValueError otherwise).  W(G-v) is constant on the orbits of
     the group they generate, so one deletion per orbit is evaluated and its
     value copied to the rest of the orbit.
     """
-    w = wiener(g)
-    if w is INFINITE:
-        raise ValueError("soltes_report requires a connected graph")
     parent = list(range(g.n))
 
     def find(x):
@@ -350,14 +349,15 @@ def soltes_report(g: Graph, automorphisms=None) -> SoltesReport:
             for v, image in enumerate(perm):
                 parent[find(v)] = find(image)
 
-    nbrs = _neighbour_table(g) if g.n - 1 >= _DENSE_MIN_N else None
-    per_orbit = {}
-    per_vertex = []
-    for v in range(g.n):
-        root = find(v)
-        if root not in per_orbit:
-            per_orbit[root] = _wiener_without(g, v, nbrs)
-        per_vertex.append(per_orbit[root])
+    roots = [find(v) for v in range(g.n)]
+    reps = {}
+    for v, root in enumerate(roots):
+        reps.setdefault(root, v)
+    w, *values = _wieners(g, [None, *reps.values()])
+    if w is INFINITE:
+        raise ValueError("soltes_report requires a connected graph")
+    per_orbit = dict(zip(reps, values))
+    per_vertex = [per_orbit[root] for root in roots]
 
     soltes_set = tuple(v for v in range(g.n) if per_vertex[v] == w)
     alpha = Fraction(len(soltes_set), g.n) if g.n else Fraction(0, 1)
@@ -453,11 +453,8 @@ def profile(g: Graph) -> dict:
     girth = _girth(g)
     if girth is None:
         girth = ACYCLIC
-    if g.n <= 1:
-        diameter = 0
-    else:
-        _, far, connected = _packed_pair_sum(g)
-        diameter = far if connected else INFINITE
+    [(_, far, connected)] = _packed_pair_sums(g, [None])
+    diameter = far if connected else INFINITE
     return {
         "girth": girth,
         "diameter": diameter,

@@ -247,8 +247,9 @@ def gen_regular(n, r):
         return (reach & ~adjm[x] & ~(1 << x)).bit_count()
 
     def rec(prev, lo):
+        # the smallest unsaturated vertex never moves down a branch
         v = -1
-        for x in range(n):
+        for x in range(max(prev, 0), n):
             if deg[x] < r:
                 v = x
                 break
@@ -276,9 +277,10 @@ def gen_regular(n, r):
                             s0 = second_level(0)
                         if second_level(x) < s0:
                             return
+        # vertices below v are saturated, so the fresh one lies above v
         fresh = -1
-        for x in range(n):
-            if deg[x] == 0 and x != v:
+        for x in range(v + 1, n):
+            if deg[x] == 0:
                 fresh = x
                 break
         av = adjm[v]

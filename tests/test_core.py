@@ -11,8 +11,8 @@ import soltes.core
 from soltes.core import (ACYCLIC, INFINITE, UNREACHABLE, Graph, bfs_distances,
                          contract_set, delete_vertex, is_biconnected,
                          is_connected, profile, soltes_report, transmission,
-                         wiener, _DENSE_MIN_N, _bfs_raw, _neighbour_table,
-                         _packed_pair_sum, _wiener_without)
+                         wiener, _bfs_raw, _neighbour_table,
+                         _packed_pair_sums, _wiener_without, _wieners)
 
 
 def floyd_warshall(n, edges):
@@ -151,7 +151,7 @@ def test_packed_sweep_against_distance_matrix():
         n = rng.randrange(64, 80)
         g = random_graph(rng, n, 0.07)
         dm = bfs_distance_matrix(g)
-        total, far, connected = _packed_pair_sum(g)
+        [(total, far, connected)] = _packed_pair_sums(g, [None])
         assert connected == all(d >= 0 for row in dm for d in row)
         if connected:
             assert total == sum(map(sum, dm))
@@ -159,8 +159,8 @@ def test_packed_sweep_against_distance_matrix():
 
 
 def test_kernel_crossover_matches_bfs_oracle():
-    # both sides of _DENSE_MIN_N and of the 64-bit word boundary
-    assert 15 <= _DENSE_MIN_N <= 16
+    # both sides of n = 16 (once the BFS/sweep crossover) and of the 64-bit
+    # word boundary
     rng = random.Random(1516)
     for n in (15, 16, 17, 63, 64):
         for p in (1.5 / n, 3.0 / n, 0.5):
@@ -204,7 +204,7 @@ def test_masked_deletion_matches_rebuilt_graph():
               for n in (2, 3, 15, 16, 17, 63, 64, 65, 130)
               for p in (0.05, 0.15, 0.4)]
     graphs += [random_graph(rng, n, 0.7) for n in (16, 17, 40, 90)]
-    # orders 8, 16, 17, 71: G - v on both sides of the crossover
+    # orders 8, 16, 17, 71: G - v on both sides of n = 16
     cut = [two_blocks_at_a_cut_vertex(rng, a, b)
            for a, b in ((3, 4), (7, 8), (8, 8), (40, 30))]
     finite = infinite = 0
@@ -222,6 +222,88 @@ def test_masked_deletion_matches_rebuilt_graph():
         assert wiener(g) is not INFINITE
         assert _wiener_without(g, g.n - 1) is INFINITE
     assert finite > 1000 and infinite > 100
+
+
+def test_batched_sweep_matches_rebuilt_graphs(monkeypatch):
+    # Each entry of a batch against a batch of one on the rebuilt G - v (or
+    # G) and against wiener(delete_vertex(g, v)).  The word budget is cut to
+    # k slices per chunk, so every batch spans several chunks with a ragged
+    # last one.
+    rng = random.Random(808)
+    graphs = [Graph(1), Graph(2), Graph(2, [(0, 1)])]
+    graphs += [random_graph(rng, n, p) for n in (17, 63, 64, 65, 130)
+               for p in (0.05, 0.2)]
+    graphs += [random_graph(rng, n, 0.7) for n in (17, 65)]
+    graphs += [two_blocks_at_a_cut_vertex(rng, a, b)
+               for a, b in ((3, 4), (8, 8), (30, 33))]
+    mixed_chunks = 0
+    for g in graphs:
+        words = (g.n + 63) // 64
+        removed = [None, *range(g.n)]
+        extra = [rng.choice(removed) for _ in range(g.n // 2 + 3)]
+        removed += extra + [None, *extra[:3]]
+        want = {v: _packed_pair_sums(delete_vertex(g, v), [None])[0]
+                for v in range(g.n)}
+        want[None] = _packed_pair_sums(g, [None])[0]
+        want_w = [wiener(g) if v is None else wiener(delete_vertex(g, v))
+                 for v in removed]
+        for k in (1, 3, 7):
+            monkeypatch.setattr(soltes.core, "_SWEEP_WORDS",
+                                k * (g.n + 1) * words)
+            got = _packed_pair_sums(g, removed)
+            assert got == [want[v] for v in removed], (g, k)
+            assert _wieners(g, removed) == want_w, (g, k)
+            for lo in range(0, len(got), k):
+                flags = {c for _, _, c in got[lo:lo + k]}
+                mixed_chunks += flags == {True, False}
+    assert mixed_chunks > 10
+
+
+def test_batched_sweep_small_and_edge_orders():
+    assert _packed_pair_sums(Graph(0), [None]) == [(0, 0, True)]
+    assert _packed_pair_sums(Graph(1), [None, 0, None]) == [(0, 0, True)] * 3
+    k2 = Graph(2, [(0, 1)])
+    assert _wieners(k2, [0, None, 1]) == [0, 1, 0]
+    assert _wieners(Graph(2), [None, 1]) == [INFINITE, 0]
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    assert _wieners(p3, [1, 0, None]) == [INFINITE, 1, 4]
+    # the sweep's int64 totals on a path, whose sum is the largest for its n
+    n = 700
+    path = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    assert _wieners(path, [None, n - 1, 0, n // 2]) == [
+        (n - 1) * n * (n + 1) // 6, (n - 2) * (n - 1) * n // 6,
+        (n - 2) * (n - 1) * n // 6, INFINITE]
+
+
+def report_peak(g):
+    tracemalloc.start()
+    try:
+        rep = soltes_report(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return rep, peak
+
+
+def test_soltes_report_memory_is_bounded_on_dense_graph():
+    # all 601 sweeps of K_600 in one call, one slice per chunk
+    n = 600
+    k = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    rep, peak = report_peak(k)
+    assert rep.wiener == n * (n - 1) // 2
+    assert rep.per_vertex == ((n - 1) * (n - 2) // 2,) * n
+    assert peak < 8 * 2 ** 20
+
+
+def test_soltes_report_memory_is_bounded_by_chunks():
+    # 201 sweeps of C_200(1, 2) in one call.  As one chunk they would hold
+    # about 5 MB of frontier, unreached and gather arrays; chunks of 10
+    # slices hold about 260 KB.
+    n = 200
+    g = Graph(n, [(i, (i + s) % n) for i in range(n) for s in (1, 2)])
+    rep, peak = report_peak(g)
+    assert rep.per_vertex == (wiener(delete_vertex(g, 0)),) * n
+    assert peak < 2 ** 20
 
 
 def test_sweep_memory_is_bounded_on_dense_graph():
@@ -274,14 +356,15 @@ def test_soltes_report_known_graphs():
 
 
 def count_deletions(monkeypatch):
+    """Record every vertex the batched sweep deletes, in order."""
     calls = []
-    real = soltes.core._wiener_without
+    real = soltes.core._packed_pair_sums
 
-    def counted(g, v, nbrs=None):
-        calls.append(v)
-        return real(g, v, nbrs)
+    def counted(g, removed, nbrs=None):
+        calls.extend(v for v in removed if v is not None)
+        return real(g, removed, nbrs)
 
-    monkeypatch.setattr(soltes.core, "_wiener_without", counted)
+    monkeypatch.setattr(soltes.core, "_packed_pair_sums", counted)
     return calls
 
 

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from soltes.core import (INFINITE, Graph, _DENSE_MIN_N, _bfs_raw,
-                         _wiener_without, delete_vertex, soltes_report, wiener)
+from soltes.core import (INFINITE, Graph, _bfs_raw, _wiener_without,
+                         delete_vertex, soltes_report, wiener)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -75,15 +75,16 @@ def test_masked_deletion_matches_bfs_oracle(g):
 
 
 def test_strategy_reaches_every_case():
-    # the cases the property must see: G - v on both sides of the sweep
-    # crossover, dense graphs on both sides, cut vertices, disconnected G
+    # the cases the property must see: G - v on both sides of order 16
+    # (once the BFS/sweep crossover), dense graphs on both sides, cut
+    # vertices, disconnected G
     seen = set()
 
     @SETTINGS
     @hypothesis.given(graphs())
     def record(g):
         order = g.n - 1
-        side = "sweep" if order >= _DENSE_MIN_N else "bfs"
+        side = "sweep" if order >= 16 else "bfs"
         seen.add(side)
         if g.n > 2 and 2 * g.m > 0.5 * g.n * (g.n - 1):
             seen.add("dense " + side)

@@ -92,12 +92,12 @@ _SMALL_CUBIC_CAYLEY = [
 
 
 def test_orbit_report_on_lifted_left_actions(monkeypatch):
-    real = soltes.core._wiener_without
+    real = soltes.core._packed_pair_sums
     calls = []
 
-    def counted(g, v, nbrs=None):
-        calls.append(v)
-        return real(g, v, nbrs)
+    def counted(g, removed, nbrs=None):
+        calls.extend(v for v in removed if v is not None)
+        return real(g, removed, nbrs)
 
     def orbit_and_brute(h, automorphisms):
         calls.clear()
@@ -111,7 +111,7 @@ def test_orbit_report_on_lifted_left_actions(monkeypatch):
         assert fast.alpha == brute.alpha
         return evaluated
 
-    monkeypatch.setattr(soltes.core, "_wiener_without", counted)
+    monkeypatch.setattr(soltes.core, "_packed_pair_sums", counted)
     for degree, texts in _SMALL_CUBIC_CAYLEY:
         gens = [parse_permutation(t, degree) for t in texts]
         elements = group_closure(gens)
