@@ -313,13 +313,19 @@ def is_connected(g: Graph) -> bool:
     return min(raw) >= 0
 
 
-def _check_automorphism(g, perm, edge_set):
+def _check_automorphism(g, perm):
     """Raise ValueError unless perm (an image list) is an automorphism of g."""
     if len(perm) != g.n or set(perm) != set(range(g.n)):
         raise ValueError(f"permutation is not a bijection on 0..{g.n - 1}")
+    adj = g.adj
+    image = perm.__getitem__
+    if all(tuple(sorted(map(image, nbrs))) == adj[p]
+           for nbrs, p in zip(adj, perm)):
+        return
+    # a bijection that is not an automorphism maps some edge to a non-edge
     for u, v in g.edges():
         a, b = perm[u], perm[v]
-        if (a, b) not in edge_set and (b, a) not in edge_set:
+        if b not in adj[a]:
             raise ValueError(
                 f"not an automorphism: edge ({u},{v}) maps to non-edge ({a},{b})")
 
@@ -343,9 +349,8 @@ def soltes_report(g: Graph, automorphisms=None) -> SoltesReport:
         return x
 
     if automorphisms:
-        edge_set = set(g.edges())
         for perm in automorphisms:
-            _check_automorphism(g, perm, edge_set)
+            _check_automorphism(g, perm)
             for v, image in enumerate(perm):
                 parent[find(v)] = find(image)
 

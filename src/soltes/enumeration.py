@@ -3,28 +3,41 @@
 The generator grows adjacency for the smallest unsaturated vertex v with
 increasing partner indices and touches fresh vertices in index order;
 with no further cut it would emit every such breadth-first labelling from
-every start vertex.  It skips a partner candidate u whose adjacency mask
-duplicates that of a lower vertex up != v: the transposition (up u) is
-then an automorphism of the partial graph, so the branch for up already
-covers the one for u.  That transposition never moves vertex 0: u > v,
-and up != 0, because if v > 0 vertex 0 is saturated and u is not, so
-their masks differ, and if v = 0 then up != v.  So every pair (class,
-vertex) still has a leaf that labels that vertex 0.  Every edge added
-touches the current vertex, so the edge that saturates a proper component
-saturates that vertex too, and the branch is cut right there: every leaf
-is connected.
+every start vertex, with any neighbour of the start as vertex 1.  It
+skips a partner candidate u whose adjacency mask duplicates that of a
+lower vertex up != v: the transposition (up u) is then an automorphism of
+the partial graph, so the branch for up already covers the one for u.
+That transposition never moves vertex 0 or vertex 1.  At v = 0 nothing is
+skipped, since every partner is fresh; at v >= 1, up has u's mask and so
+u's degree, so both are unsaturated, differ from v and lie above v.  So
+every (class, vertex x, neighbour y of x) still has a leaf that labels x
+vertex 0 and y vertex 1.  Every edge added touches the current vertex, so
+the edge that saturates a proper component saturates that vertex too, and
+the branch is cut right there: every leaf is connected.
 
 At a leaf each vertex has an invariant key (_raw_key: BFS level sizes,
-then sorted shared-neighbour counts), and _root_min_keys drops the leaf as
-soon as some vertex's key is below vertex 0's.  Some leaf of each class
-labels a minimal-key vertex 0, so no class is lost; ties are kept.  The
-recursion cuts a branch early when one of its vertices, with all its
-neighbours saturated, already has fewer vertices at distance 2 than
-vertex 0: its key would be the smaller at every leaf of that branch.  The
-surviving leaves reach _ClassStore, which buckets on the sorted keys and
-runs the package's one isomorphism test (_isomorphic) against each stored
-representative, so every class of connected r-regular graphs on n
-vertices surfaces exactly once.  Classification then counts, per class,
+then sorted shared-neighbour counts), and _root_min_keys drops the leaf
+when some vertex's key is below vertex 0's, or when some neighbour of a
+vertex with vertex 0's key has a key below vertex 1's.  Some leaf of each
+class labels a minimal-key vertex 0 and, next to it, a vertex 1 minimal
+among the neighbours of all minimal-key vertices, so no class is lost;
+ties are kept.  The recursion cuts a branch early when one of its
+vertices, with all its neighbours saturated, already has fewer vertices
+at distance 2 than vertex 0, or is a neighbour of vertex 0 other than
+vertex 1 and has fewer than vertex 1 (saturated from v = 2 on, so its
+count can only grow): its key would be the smaller at every leaf of that
+branch, and _root_min_keys would drop them all.
+
+The surviving leaves reach _ClassStore, which buckets on the sorted keys
+and runs the package's one isomorphism test (_isomorphic) against each
+stored representative, so every class of connected r-regular graphs on n
+vertices surfaces exactly once.  Most of those tests fail between
+different classes of one bucket, so once a bucket holds two
+representatives each gets its automorphism orbits, found by the same
+search run from the graph onto itself with one vertex and its intended
+image individualized (_orbits), and a test then tries one start image per
+orbit (B. McKay & A. Piperno, "Practical graph isomorphism, II",
+J. Symbolic Comput. 60, 2014).  Classification then counts, per class,
 how many vertices leave the Wiener index unchanged when deleted.
 """
 
@@ -88,9 +101,11 @@ def _raw_key(masks, v):
 
 
 def _root_min_keys(n, masks):
-    """Every vertex's _raw_key, or None once one is below vertex 0's.
+    """Every vertex's _raw_key, or None when vertex 0 or 1 is not minimal.
 
-    Vertex 0 may tie with others; it only has to be minimal.
+    Vertex 0's key must be minimal over all vertices, and vertex 1's over
+    the neighbours of every vertex whose key equals vertex 0's.  Either may
+    tie with others.
     """
     root = _raw_key(masks, 0)
     raw = [root]
@@ -99,6 +114,16 @@ def _root_min_keys(n, masks):
         if key < root:
             return None
         raw.append(key)
+    if n > 1:
+        second = raw[1]
+        below = 0
+        for y, key in enumerate(raw):
+            if key < second:
+                below |= 1 << y
+        if below:
+            for x, key in enumerate(raw):
+                if key == root and masks[x] & below:
+                    return None
     return raw
 
 
@@ -118,20 +143,28 @@ def _mask_keys(raw, intern):
     return keys
 
 
-def _isomorphic(n, a1, keys1, a2, keys2):
-    """Adjacency-preserving bijection search between same-bucket graphs.
+def _isomorphic(n, a1, keys1, a2, keys2, orbits=None):
+    """An adjacency-preserving bijection from a1 onto a2, or None.
 
     a1/a2 are neighbour bitmasks, keys per-vertex invariants; a vertex may
     only map to one with an identical key.  The partial map is extended in
-    breadth-first order from the most constrained vertex, and one bitmask
-    comparison per candidate checks consistency with everything mapped so
-    far.
+    breadth-first order from a start vertex, and one bitmask comparison per
+    candidate checks consistency with everything mapped so far.  The
+    bijection comes back as an image list (vertex v of a1 goes to image[v]).
+
+    The start is the vertex of a1 with the fewest candidates.  orbits, when
+    given, names each vertex of a2's automorphism orbit by its smallest
+    member (_orbits); the start then tries only those members as images,
+    since composing with an automorphism of a2 moves the start's image
+    anywhere in its orbit.
     """
     by_key = {}
     for u, k in enumerate(keys2):
         by_key.setdefault(k, []).append(u)
     cand = [by_key.get(k, ()) for k in keys1]
     start = min(range(n), key=lambda v: len(cand[v]))
+    if orbits is not None:
+        cand[start] = [u for u in cand[start] if orbits[u] == u]
     order = [start]
     reached = 1 << start
     k = 0
@@ -172,14 +205,66 @@ def _isomorphic(n, a1, keys1, a2, keys2):
     # place reaches itself through its closure; breaking that cycle frees
     # the search state on return, not at the next cyclic collection
     del place
-    return found
+    return image if found else None
+
+
+def _orbits(n, masks, keys):
+    """Each vertex's automorphism orbit, named by the orbit's smallest vertex.
+
+    Vertices are joined by a union-find over the automorphisms that
+    _isomorphic finds from the graph onto itself.  The smallest vertex x of
+    each part tries every later vertex u with x's key that is not yet in
+    its part and not in a part already refuted from x.  The search gets x
+    and u individualized, with one new key that only they carry, so it
+    either finds an automorphism sending x to u, which joins every vertex
+    to its image, or shows that u lies in another orbit.
+    """
+    parent = list(range(n))
+    mark = object()
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x in range(n):
+        if parent[x] != x:
+            continue  # settled together with its part's smaller root
+        refuted = set()
+        for u in range(x + 1, n):
+            if keys[u] != keys[x]:
+                continue
+            ru = find(u)
+            if ru == x or ru in refuted:
+                continue
+            keys_x = list(keys)
+            keys_x[x] = mark
+            keys_u = list(keys)
+            keys_u[u] = mark
+            image = _isomorphic(n, masks, keys_x, masks, keys_u)
+            if image is None:
+                refuted.add(ru)
+                continue
+            for v, w in enumerate(image):
+                rv, rw = find(v), find(w)
+                if rv != rw:
+                    # the smaller root stays, so roots are orbit minima
+                    if rv < rw:
+                        parent[rw] = rv
+                    else:
+                        parent[rv] = rw
+    return [find(v) for v in range(n)]
 
 
 class _ClassStore:
     """The classes seen so far, one adjacency-mask representative each.
 
     Representatives are bucketed on their sorted _mask_keys, so a new graph
-    runs _isomorphic only against the same-bucket representatives.
+    runs _isomorphic only against the same-bucket representatives.  Once a
+    bucket holds two, tests between different classes dominate; each of its
+    representatives then gets its automorphism orbits (_orbits) once, and
+    every later test against it tries one start image per orbit.
     """
 
     __slots__ = ("n", "buckets", "intern")
@@ -197,14 +282,18 @@ class _ClassStore:
         n = self.n
         keys = _mask_keys(raw, self.intern)
         bucket = self.buckets.setdefault(tuple(sorted(keys)), [])
-        for i, (held, held_keys) in enumerate(bucket):
-            if _isomorphic(n, masks, keys, held, held_keys):
+        pruned = len(bucket) > 1
+        for i, held in enumerate(bucket):
+            held_masks, held_keys, orbits = held
+            if pruned and orbits is None:
+                orbits = held[2] = _orbits(n, held_masks, held_keys)
+            if _isomorphic(n, masks, keys, held_masks, held_keys, orbits):
                 if i:
                     # duplicates arrive in runs; keep the hot
                     # representative in front
                     bucket.insert(0, bucket.pop(i))
                 return False
-        bucket.append((masks.copy(), keys))
+        bucket.append([masks.copy(), keys, None])
         return True
 
 
@@ -267,16 +356,26 @@ def gen_regular(n, r):
             # from here, as its neighbours are fixed.  If x's is already
             # the smaller, x's key is below vertex 0's at every leaf under
             # this node, and _root_min_keys would drop them all.
+            # Vertex 1 is saturated too once v >= 2, so a neighbour x != 1
+            # of vertex 0 whose final second level is below vertex 1's has
+            # a key below vertex 1's, which _root_min_keys rejects as well.
             if v:
                 top = 1 << v
                 seen = 1 << prev
-                s0 = -1
+                a0 = adjm[0]
+                s0 = s1 = -1
                 for x in range(1, v):
                     if seen <= adjm[x] | 1 << x < top:
                         if s0 < 0:
                             s0 = second_level(0)
-                        if second_level(x) < s0:
+                        sx = second_level(x)
+                        if sx < s0:
                             return
+                        if x > 1 and a0 >> x & 1:
+                            if s1 < 0:
+                                s1 = second_level(1)
+                            if sx < s1:
+                                return
         # vertices below v are saturated, so the fresh one lies above v
         fresh = -1
         for x in range(v + 1, n):
@@ -293,12 +392,10 @@ def gen_regular(n, r):
             # transposition automorphism, so that branch already covers
             # this one
             au = adjm[u]
-            skip = False
-            for up in range(u):
-                if adjm[up] == au and up != v:
-                    skip = True
-                    break
-            if skip:
+            up = adjm.index(au)
+            if up == v:
+                up = adjm.index(au, v + 1)
+            if up < u:
                 continue
             adjm[v] |= 1 << u
             adjm[u] |= 1 << v

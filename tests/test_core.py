@@ -275,10 +275,10 @@ def test_batched_sweep_small_and_edge_orders():
         (n - 2) * (n - 1) * n // 6, INFINITE]
 
 
-def report_peak(g):
+def report_peak(g, automorphisms=None):
     tracemalloc.start()
     try:
-        rep = soltes_report(g)
+        rep = soltes_report(g, automorphisms=automorphisms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -291,6 +291,17 @@ def test_soltes_report_memory_is_bounded_on_dense_graph():
     k = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     rep, peak = report_peak(k)
     assert rep.wiener == n * (n - 1) // 2
+    assert rep.per_vertex == ((n - 1) * (n - 2) // 2,) * n
+    assert peak < 8 * 2 ** 20
+
+
+def test_orbit_report_memory_is_bounded_on_dense_graph():
+    # Checking the rotation against a set of K_600's edges, one tuple per
+    # edge, peaked at about 21 MB.
+    n = 600
+    k = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    rotation = [(v + 1) % n for v in range(n)]
+    rep, peak = report_peak(k, [rotation])
     assert rep.per_vertex == ((n - 1) * (n - 2) // 2,) * n
     assert peak < 8 * 2 ** 20
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from soltes.core import Graph, _bfs_raw, is_connected, profile
-from soltes.enumeration import (TableRow, _ClassStore, _raw_key,
+from soltes.enumeration import (TableRow, _ClassStore, _orbits, _raw_key,
                                 _root_min_keys, classify_table, gen_regular)
 from soltes.families import complete
 
@@ -35,6 +35,65 @@ def vertex_key(g, v):
     return levels, tuple(shared)
 
 
+def store_add(store, g):
+    return store.add(masks_of(g), [vertex_key(g, v) for v in range(g.n)])
+
+
+def relabel(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def prism():
+    return Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                     (0, 3), (1, 4), (2, 5)])
+
+
+def k33():
+    return Graph(6, [(a, b + 3) for a in range(3) for b in range(3)])
+
+
+def petersen():
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def rook_and_shrikhande():
+    """The 4x4 rook's graph and the Shrikhande graph: both strongly regular
+    (16, 6, 2, 2), so every vertex invariant agrees."""
+    rook = Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
+                      if u // 4 == v // 4 or u % 4 == v % 4])
+    shrikhande = Graph(16, [
+        (4 * i + j, 4 * ((i + a) % 4) + (j + b) % 4)
+        for i in range(4) for j in range(4)
+        for a, b in ((0, 1), (1, 0), (1, 1))])
+    return rook, shrikhande
+
+
+def brute_orbits(g):
+    """Each vertex's orbit under every automorphism of g, named by its
+    smallest vertex; the automorphisms are listed by plain backtracking."""
+    adj = [set(a) for a in g.adj]
+    reach = [set() for _ in range(g.n)]
+    image = []
+
+    def extend(v, used):
+        if v == g.n:
+            for x, y in enumerate(image):
+                reach[x].add(y)
+            return
+        for u in range(g.n):
+            if u in used or len(adj[u]) != len(adj[v]):
+                continue
+            if all((w in adj[v]) == (image[w] in adj[u]) for w in range(v)):
+                image.append(u)
+                extend(v + 1, used | {u})
+                image.pop()
+
+    extend(0, frozenset())
+    return [min(r) for r in reach]
+
+
 def check_representative(g, r):
     """Connected, r-regular, built as Graph(n, edges) would build it, and
     vertex 0 at a minimal raw key (the generator's root-key filter)."""
@@ -44,6 +103,8 @@ def check_representative(g, r):
     keys = [vertex_key(g, v) for v in range(g.n)]
     assert keys == [_raw_key(masks_of(g), v) for v in range(g.n)]
     assert keys[0] == min(keys)
+    assert keys[1] == min(keys[y] for x in range(g.n) if keys[x] == keys[0]
+                          for y in g.adj[x])
 
 
 def test_known_connected_cubic_counts():
@@ -100,21 +161,23 @@ def test_store_keeps_a_labelling_whose_vertex_0_is_not_minimal():
     top = max(range(8), key=keys.__getitem__)
     perm = list(range(8))
     perm[0], perm[top] = top, 0
-    relabeled = Graph(8, [(perm[u], perm[v]) for u, v in g.edges()])
-    masks = masks_of(relabeled)
-    assert _root_min_keys(8, masks) is None
+    relabeled = relabel(g, perm)
+    assert _root_min_keys(8, masks_of(relabeled)) is None
     store = _ClassStore(8)
-    assert store.add(masks, [vertex_key(relabeled, v) for v in range(8)])
-    assert not store.add(masks_of(g), keys)
+    assert store_add(store, relabeled)
+    assert not store_add(store, g)
 
 
 @pytest.mark.parametrize("n,r,leaves,stored",
-                         [(12, 3, 1201, 513), (10, 4, 1692, 524)])
+                         [(12, 3, 775, 280), (10, 4, 1633, 256)])
 def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored):
     # Leaves that reach the root-key filter, and those that pass it into
-    # the class store.  A weaker second-level cut in the recursion raises
-    # the first count, a weaker root-key filter the second; with neither,
-    # all 2,999 leaves of cubic n=12 reached the store.
+    # the class store.  A weaker second-level cut in the recursion (on
+    # vertex 0 or on vertex 1) raises the first count, a weaker filter on
+    # vertex 0's or vertex 1's key the second.  With neither cut nor the
+    # vertex-1 filter, cubic n=12 had 1,201 and 513, quartic n=10 1,692
+    # and 524; with no cut or filter at all, all 2,999 leaves of cubic n=12
+    # reached the store.
     import soltes.enumeration as enumeration
     calls = {"filter": 0, "store": 0}
 
@@ -130,6 +193,66 @@ def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored):
                         counted("store", enumeration._mask_keys))
     list(gen_regular(n, r))
     assert calls == {"filter": leaves, "store": stored}
+
+
+def test_filter_drops_a_labelling_whose_vertex_1_is_not_minimal():
+    # Keep vertex 0 (minimal) and swap vertex 1 with a neighbour of vertex
+    # 0 whose key is larger than that of another neighbour.  The filter
+    # drops the relabelling; the store, which takes any labelling, still
+    # accepts it as a new class.
+    g = next(g for g in gen_regular(10, 3)
+             if len({vertex_key(g, y) for y in g.adj[0]}) > 1)
+    keys = [vertex_key(g, v) for v in range(10)]
+    top = max(g.adj[0], key=keys.__getitem__)
+    perm = list(range(10))
+    perm[1], perm[top] = top, 1
+    relabeled = relabel(g, perm)
+    assert _root_min_keys(10, masks_of(g)) is not None
+    assert _root_min_keys(10, masks_of(relabeled)) is None
+    store = _ClassStore(10)
+    assert store_add(store, relabeled)
+    assert not store_add(store, g)
+
+
+def test_orbits_match_brute_force():
+    # with the raw keys, and with one key for every vertex, so that the
+    # automorphism searches alone separate the orbits
+    graphs = [prism(), k33(), petersen(), *rook_and_shrikhande()]
+    graphs += [g for n in (4, 6, 8, 10) for g in gen_regular(n, 3)]
+    assert len(graphs) == 32
+    split = 0
+    for g in graphs:
+        masks = masks_of(g)
+        want = brute_orbits(g)
+        raw = [_raw_key(masks, v) for v in range(g.n)]
+        assert _orbits(g.n, masks, raw) == want
+        assert _orbits(g.n, masks, [0] * g.n) == want
+        # same-key vertices in different orbits
+        split += any(raw[u] == raw[v] and want[u] != want[v]
+                     for u in range(g.n) for v in range(u))
+    assert split
+
+
+def test_store_rejects_relabellings_in_mixed_buckets():
+    # Cubic n=12 has 10 buckets with two to four classes, each holding a
+    # representative that is not vertex-transitive, so the tests against
+    # them try one start image per orbit.
+    graphs = list(gen_regular(12, 3))
+    store = _ClassStore(12)
+    assert all(store_add(store, g) for g in graphs)
+    rng = random.Random(12)
+    for g in graphs:
+        for _ in range(3):
+            perm = list(range(12))
+            rng.shuffle(perm)
+            assert not store_add(store, relabel(g, perm))
+    assert sum(map(len, store.buckets.values())) == 85
+    mixed = [b for b in store.buckets.values() if len(b) > 1]
+    assert len(mixed) == 10
+    for bucket in mixed:
+        orbits = [held[2] for held in bucket]
+        assert None not in orbits
+        assert any(len(set(o)) > 1 for o in orbits)
 
 
 def test_search_leaves_no_cyclic_garbage():
@@ -181,23 +304,14 @@ def test_isomorphism_test_agrees_with_brute_force(same_class):
 
 def test_isomorphism_test_separates_k33_and_prism(same_class):
     # same degree sequence and order, different structure
-    k33 = Graph(6, [(a, b + 3) for a in range(3) for b in range(3)])
-    prism = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
-                      (0, 3), (1, 4), (2, 5)])
-    assert not same_class(k33, prism)
+    assert not same_class(k33(), prism())
 
 
 def test_isomorphism_test_separates_same_bucket_pair():
-    # The 4x4 rook's graph and the Shrikhande graph are both strongly
-    # regular (16, 6, 2, 2), so every vertex invariant agrees and they share
-    # a bucket; the neighbourhood of a vertex is two triangles in the first
-    # and a 6-cycle in the second, so only the first has a K4.
-    rook = Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
-                      if u // 4 == v // 4 or u % 4 == v % 4])
-    shrikhande = Graph(16, [
-        (4 * i + j, 4 * ((i + a) % 4) + (j + b) % 4)
-        for i in range(4) for j in range(4)
-        for a, b in ((0, 1), (1, 0), (1, 1))])
+    # The 4x4 rook's graph and the Shrikhande graph share a bucket; the
+    # neighbourhood of a vertex is two triangles in the first and a 6-cycle
+    # in the second, so only the first has a K4.
+    rook, shrikhande = rook_and_shrikhande()
 
     def has_k4(g):
         return any(set(g.adj[u]) & set(g.adj[v]) & set(g.adj[w])
@@ -207,8 +321,12 @@ def test_isomorphism_test_separates_same_bucket_pair():
     assert has_k4(rook) and not has_k4(shrikhande)
     store = _ClassStore(16)
     for g in (rook, shrikhande):
-        assert store.add(masks_of(g), [vertex_key(g, v) for v in range(16)])
+        assert store_add(store, g)
     assert len(store.buckets) == 1
+    # a third graph in the bucket runs the orbit-pruned tests
+    perm = list(range(16))
+    random.Random(16).shuffle(perm)
+    assert not store_add(store, relabel(shrikhande, perm))
 
 
 def test_classify_small_rows_have_no_removable_vertices():
