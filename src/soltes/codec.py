@@ -6,7 +6,6 @@ import json
 
 import numpy as np
 
-from .cayley import Permutation
 from .core import Graph
 
 _HEADER = ">>graph6<<"
@@ -90,10 +89,11 @@ def decode_graph6(s: str) -> Graph:
     return Graph._from_adj(tuple(map(tuple, nbrs)))
 
 
-def parse_permutation(s: str, degree: int) -> Permutation:
+def parse_permutation(s: str, degree: int) -> tuple:
     """Parse 1-based disjoint cycles like "(2,4)(6,12,17)" on 1..degree.
 
-    The result acts on 0..degree-1.  "()" is the identity.
+    The result is the image tuple on 0..degree-1: point x goes to
+    result[x].  "()" is the identity.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
@@ -127,7 +127,7 @@ def parse_permutation(s: str, degree: int) -> Permutation:
             used.add(x)
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             mapping[a - 1] = b - 1
-    return Permutation(mapping)
+    return tuple(mapping)
 
 
 def write_report(report, g_id: str) -> str:

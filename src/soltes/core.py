@@ -188,7 +188,7 @@ def _neighbour_table(g):
     return table
 
 
-def _packed_pair_sums(g, removed, nbrs=None):
+def _packed_pair_sums(g, removed):
     """[(sum of d(x, y) over ordered pairs, last level, connected flag)],
     one per entry of removed: g - v for a vertex v, g itself for None.
 
@@ -202,21 +202,20 @@ def _packed_pair_sums(g, removed, nbrs=None):
     The entries run in chunks, each a (slices, n + 1, words) frontier array
     of as many slices as _SWEEP_WORDS allows (at least one); row n of every
     slice is the all-zero row the table's padding points at.  All slices
-    share nbrs, g's _neighbour_table (built here when None).  A removed
-    vertex v is masked through its slice's start state alone: v's identity
-    bit is cleared, v's unreached row is zeroed and v's bit is cleared in
-    every unreached row.  So v's frontier stays empty, no source ever
-    reaches v, and the other vertices make the (n - 1)^2 ordered pairs of
-    g - v.  A slice stops counting after its last level, or when a level
-    reaches nothing new while pairs remain, which clears its connected flag
-    (the sum and level are then partial).
+    share nbrs, g's _neighbour_table.  A removed vertex v is masked
+    through its slice's start state alone: v's identity bit is cleared,
+    v's unreached row is zeroed and v's bit is cleared in every unreached
+    row.  So v's frontier stays empty, no source ever reaches v, and the
+    other vertices make the (n - 1)^2 ordered pairs of g - v.  A slice
+    stops counting after its last level, or when a level reaches nothing
+    new while pairs remain, which clears its connected flag (the sum and
+    level are then partial).
 
     Totals are exact in int64: a sum is below n^3, and n^3 < 2^63 for every
     n whose (n + 1) x n bit slice fits in memory (n < 2^21).
     """
     n = g.n
-    if nbrs is None:
-        nbrs = _neighbour_table(g)
+    nbrs = _neighbour_table(g)
     words = (n + 63) // 64
     step = max(1, _SWEEP_WORDS // max(1, (n + 1) * words))
     idx = np.arange(n)
@@ -265,20 +264,15 @@ def _packed_pair_sums(g, removed, nbrs=None):
     return out
 
 
-def _wieners(g, removed, nbrs=None):
+def _wieners(g, removed):
     """[W(g - v) for v in removed], W(g) for None; INFINITE if disconnected."""
     return [total // 2 if connected else INFINITE
-            for total, _, connected in _packed_pair_sums(g, removed, nbrs)]
+            for total, _, connected in _packed_pair_sums(g, removed)]
 
 
 def wiener(g: Graph):
     """Sum of distances over unordered vertex pairs; INFINITE if disconnected."""
     return _wieners(g, [None])[0]
-
-
-def _wiener_without(g: Graph, v, nbrs=None):
-    """W(G - v), computed on g with v masked out instead of building G - v."""
-    return _wieners(g, [v], nbrs)[0]
 
 
 def transmission(g: Graph, v):
@@ -330,6 +324,28 @@ def _check_automorphism(g, perm):
                 f"not an automorphism: edge ({u},{v}) maps to non-edge ({a},{b})")
 
 
+def _find(parent, x):
+    """Root of x's part in the union-find parent, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _join(parent, perm):
+    """Join every vertex's part with its image's under perm (an image list).
+
+    The smaller root stays, so every root is the smallest vertex of its
+    part; joining with a group's generators leaves its orbits as the parts.
+    """
+    for v, w in enumerate(perm):
+        rv, rw = _find(parent, v), _find(parent, w)
+        if rv < rw:
+            parent[rw] = rv
+        elif rw < rv:
+            parent[rv] = rw
+
+
 def soltes_report(g: Graph, automorphisms=None) -> SoltesReport:
     """Per-vertex deletion analysis of a connected graph.
 
@@ -341,24 +357,14 @@ def soltes_report(g: Graph, automorphisms=None) -> SoltesReport:
     value copied to the rest of the orbit.
     """
     parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    if automorphisms:
-        for perm in automorphisms:
-            _check_automorphism(g, perm)
-            for v, image in enumerate(perm):
-                parent[find(v)] = find(image)
-
-    roots = [find(v) for v in range(g.n)]
-    reps = {}
-    for v, root in enumerate(roots):
-        reps.setdefault(root, v)
-    w, *values = _wieners(g, [None, *reps.values()])
+    for perm in automorphisms or ():
+        _check_automorphism(g, perm)
+        _join(parent, perm)
+    roots = [_find(parent, v) for v in range(g.n)]
+    # each root is its orbit's smallest vertex, so reps lists the orbits'
+    # first vertices in increasing order
+    reps = dict.fromkeys(roots)
+    w, *values = _wieners(g, [None, *reps])
     if w is INFINITE:
         raise ValueError("soltes_report requires a connected graph")
     per_orbit = dict(zip(reps, values))

@@ -43,7 +43,7 @@ how many vertices leave the Wiener index unchanged when deleted.
 
 from __future__ import annotations
 
-from .core import Graph, soltes_report
+from .core import Graph, _find, _join, soltes_report
 
 _SCALE_CAPS = {3: 16, 4: 13}
 
@@ -211,8 +211,8 @@ def _isomorphic(n, a1, keys1, a2, keys2, orbits=None):
 def _orbits(n, masks, keys):
     """Each vertex's automorphism orbit, named by the orbit's smallest vertex.
 
-    Vertices are joined by a union-find over the automorphisms that
-    _isomorphic finds from the graph onto itself.  The smallest vertex x of
+    Vertices are joined by core's union-find (_find, _join) over the
+    automorphisms that _isomorphic finds from the graph onto itself.  The smallest vertex x of
     each part tries every later vertex u with x's key that is not yet in
     its part and not in a part already refuted from x.  The search gets x
     and u individualized, with one new key that only they carry, so it
@@ -221,13 +221,6 @@ def _orbits(n, masks, keys):
     """
     parent = list(range(n))
     mark = object()
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for x in range(n):
         if parent[x] != x:
             continue  # settled together with its part's smaller root
@@ -235,7 +228,7 @@ def _orbits(n, masks, keys):
         for u in range(x + 1, n):
             if keys[u] != keys[x]:
                 continue
-            ru = find(u)
+            ru = _find(parent, u)
             if ru == x or ru in refuted:
                 continue
             keys_x = list(keys)
@@ -245,16 +238,9 @@ def _orbits(n, masks, keys):
             image = _isomorphic(n, masks, keys_x, masks, keys_u)
             if image is None:
                 refuted.add(ru)
-                continue
-            for v, w in enumerate(image):
-                rv, rw = find(v), find(w)
-                if rv != rw:
-                    # the smaller root stays, so roots are orbit minima
-                    if rv < rw:
-                        parent[rw] = rv
-                    else:
-                        parent[rv] = rw
-    return [find(v) for v in range(n)]
+            else:
+                _join(parent, image)
+    return [_find(parent, v) for v in range(n)]
 
 
 class _ClassStore:

@@ -1,43 +1,40 @@
-"""Permutation algebra, group closure, and the bundled catalog."""
+"""Group closure, Cayley graphs, and the bundled catalog."""
+
+import random
 
 import pytest
 
-from soltes.cayley import (GeneratorCatalogEntry, Permutation, catalog_entry,
-                           cayley_graph, group_closure, load_catalog,
-                           verify_entry)
+from soltes.cayley import (GeneratorCatalogEntry, catalog_entry, cayley_graph,
+                           group_closure, load_catalog, verify_entry)
 from soltes.codec import parse_permutation
-from soltes.core import profile
+from soltes.core import Graph, profile
 from soltes.families import cycle
 
 
-def test_permutation_composition_is_left_to_right():
+def test_group_closure_order_composes_left_to_right():
     p = parse_permutation("(1,2)", 3)
     q = parse_permutation("(2,3)", 3)
-    r = p * q
-    # apply p first: 0 -> 1, then q: 1 -> 2
-    assert r(0) == 2
-    assert (q * p)(0) == 1
-    assert (p * p).is_identity()
+    # p * q applies p first: 0 -> 1 -> 2, so (2, 0, 1) is found before
+    # q * p = (1, 2, 0)
+    assert group_closure([p, q]) == [
+        (0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 0, 1), (1, 2, 0), (2, 1, 0)]
 
 
-def test_permutation_basics():
-    p = Permutation((2, 0, 1))
-    assert p.degree == 3
-    assert p.inverse().map == (1, 2, 0)
-    assert (p * p.inverse()).is_identity()
-    assert Permutation.identity(4)(3) == 3
+def test_group_closure_rejects_bad_generators():
     with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
+        group_closure([(1, 0, 2), (0, 0, 1)])
     with pytest.raises(ValueError):
-        Permutation((2, 0, 1)) * Permutation((1, 0))
+        group_closure([(2, 0, 1), (1, 0)])
+    with pytest.raises(ValueError):
+        group_closure([])
 
 
 def test_group_closure_symmetric_group():
     gens = [parse_permutation("(1,2)", 3), parse_permutation("(1,2,3)", 3)]
     els = group_closure(gens)
     assert len(els) == 6
-    assert els[0].is_identity()
-    assert len({p.map for p in els}) == 6
+    assert els[0] == (0, 1, 2)
+    assert len(set(els)) == 6
 
 
 def test_group_closure_cap():
@@ -60,8 +57,43 @@ def test_cayley_graph_involutions_give_cubic():
 
 
 def test_cayley_graph_rejects_identity_generator():
-    with pytest.raises(ValueError):
-        cayley_graph([Permutation.identity(4)])
+    for ident in ((0, 1, 2, 3), [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="identity in connection set"):
+            cayley_graph([(1, 0, 2, 3), ident])
+
+
+def test_cayley_graph_matches_connection_set_oracle():
+    # x ~ x*s for every s in S and in S^-1, with the inverses and the
+    # products written out here
+    rng = random.Random(7)
+    for trial in range(40):
+        degree = rng.randint(2, 7)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            if degree >= 3 and rng.random() < 0.4:
+                a, b, c = rng.sample(range(degree), 3)
+                s = list(range(degree))
+                s[a], s[b], s[c] = b, c, a
+            else:
+                s = list(range(degree))
+                rng.shuffle(s)
+            if s != list(range(degree)):
+                gens.append(tuple(s))
+        if not gens:
+            continue
+        elements = group_closure(gens)
+        index = {p: i for i, p in enumerate(elements)}
+        connection = []
+        for s in gens:
+            inv = [0] * degree
+            for x, y in enumerate(s):
+                inv[y] = x
+            connection += [s, tuple(inv)]
+        edges = [(i, index[tuple(t[x[k]] for k in range(degree))])
+                 for i, x in enumerate(elements) for t in connection]
+        want = Graph(len(elements), edges)
+        assert cayley_graph(gens) == want, (trial, gens)
+        assert cayley_graph(gens, elements) == want, (trial, gens)
 
 
 def test_catalog_contents():
@@ -73,7 +105,7 @@ def test_catalog_contents():
     assert kinds == {"truncation", "line_graph"}
     for e in entries:
         gens = e.parsed_generators()
-        assert all(p.degree == e.degree for p in gens)
+        assert all(type(p) is tuple and len(p) == e.degree for p in gens)
 
 
 def test_catalog_entry_lookup():
@@ -85,9 +117,10 @@ def test_catalog_entry_lookup():
 
 def test_verify_entry_fields_on_smallest():
     e = catalog_entry("CVT(324,104)")
-    result = verify_entry(e, include_transform=False)
+    result = verify_entry(e)
     assert result["ok"]
-    assert result["transform"] is None
+    assert result["transform"]["kind"] == "line_graph"
+    assert result["transform"]["alpha_at_least_third"]
     checks = result["checks"]
     assert checks["group_order"]["actual"] == 324
     assert checks["regular"]["ok"]
@@ -98,7 +131,9 @@ def test_verify_entry_reports_mismatch():
     e = catalog_entry("CVT(384,805)")
     bad = GeneratorCatalogEntry(e.name, e.degree, e.generators,
                                 dict(e.expected, girth=5))
-    result = verify_entry(bad, include_transform=False)
+    result = verify_entry(bad)
     assert not result["ok"]
+    assert result["transform"]["kind"] == "truncation"
+    assert result["transform"]["alpha_at_least_third"]
     assert not result["checks"]["girth"]["ok"]
     assert result["checks"]["girth"]["actual"] == 6

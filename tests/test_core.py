@@ -11,8 +11,7 @@ import soltes.core
 from soltes.core import (ACYCLIC, INFINITE, UNREACHABLE, Graph, bfs_distances,
                          contract_set, delete_vertex, is_biconnected,
                          is_connected, profile, soltes_report, transmission,
-                         wiener, _bfs_raw, _neighbour_table,
-                         _packed_pair_sums, _wiener_without, _wieners)
+                         wiener, _bfs_raw, _packed_pair_sums, _wieners)
 
 
 def floyd_warshall(n, edges):
@@ -209,18 +208,16 @@ def test_masked_deletion_matches_rebuilt_graph():
            for a, b in ((3, 4), (7, 8), (8, 8), (40, 30))]
     finite = infinite = 0
     for g in graphs + cut:
-        table = _neighbour_table(g)
         for v in range(g.n):
             want = wiener(delete_vertex(g, v))
-            assert _wiener_without(g, v) == want, (g, v)
-            assert _wiener_without(g, v, table) == want, (g, v)
+            assert _wieners(g, [v])[0] == want, (g, v)
             if want is INFINITE:
                 infinite += 1
             else:
                 finite += 1
     for g in cut:
         assert wiener(g) is not INFINITE
-        assert _wiener_without(g, g.n - 1) is INFINITE
+        assert _wieners(g, [g.n - 1])[0] is INFINITE
     assert finite > 1000 and infinite > 100
 
 
@@ -371,9 +368,9 @@ def count_deletions(monkeypatch):
     calls = []
     real = soltes.core._packed_pair_sums
 
-    def counted(g, removed, nbrs=None):
+    def counted(g, removed):
         calls.extend(v for v in removed if v is not None)
-        return real(g, removed, nbrs)
+        return real(g, removed)
 
     monkeypatch.setattr(soltes.core, "_packed_pair_sums", counted)
     return calls
