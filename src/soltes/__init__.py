@@ -4,16 +4,14 @@ Find vertices whose deletion leaves the Wiener index unchanged, build cubic
 graphs that have many of them, and scan graph streams for the property.
 """
 
-from .core import (ACYCLIC, INFINITE, UNREACHABLE, DistanceVector, Graph,
-                   SoltesReport, bfs_distances, contract_set, delete_vertex,
+from .core import (ACYCLIC, INFINITE, Graph, SoltesReport, delete_vertex,
                    is_biconnected, is_connected, profile, soltes_report,
-                   transmission, wiener)
+                   wiener)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACYCLIC", "INFINITE", "UNREACHABLE", "DistanceVector", "Graph",
-    "SoltesReport", "bfs_distances", "contract_set", "delete_vertex",
-    "is_biconnected", "is_connected", "profile", "soltes_report",
-    "transmission", "wiener", "__version__",
+    "ACYCLIC", "INFINITE", "Graph", "SoltesReport", "delete_vertex",
+    "is_biconnected", "is_connected", "profile", "soltes_report", "wiener",
+    "__version__",
 ]

@@ -10,11 +10,10 @@ without changing the Wiener index.
 
 from __future__ import annotations
 
-from .core import (Graph, _wieners, bfs_distances, contract_set,
-                   is_biconnected)
+from .core import Graph, _bfs_raw, _wieners, is_biconnected
 from .families import LabeledGraph, g_t, g_t_r
-from .plan import (ConstructionError, LayerSequence, PlanConstants, d_max,
-                   d_min, f_poly, q_range, sequence_for)
+from .plan import (ConstructionError, LayerSequence, PlanConstants,
+                   f_poly, feasible_q, q_range, sequence_for)
 
 
 class ConstructionPlan:
@@ -314,11 +313,13 @@ def place_blue_edges(plan: ConstructionPlan) -> ConstructionPlan:
 
 
 def assemble(plan: ConstructionPlan) -> Graph:
-    """Materialize the plan as a Graph, applying the final contraction."""
+    """Materialize the plan as a Graph, applying the final contraction.
+
+    The contraction triple, the last three ids, merges into the first of
+    them; its triangle's three edges become loops and drop out.
+    """
     edges = list(plan.base.graph.edges()) + plan._new_edges
-    h = Graph(plan._next_id, edges)
-    if h.m != len(edges):
-        raise ConstructionError("duplicate edge slipped into the build")
+    n = plan._next_id
     if plan._contract_last:
         triple = plan.levels[-1][0] + plan.levels[-1][1]
         if len(triple) != 3:
@@ -326,12 +327,17 @@ def assemble(plan: ConstructionPlan) -> Graph:
         parents = {plan.tree_parents[v][0] for v in triple}
         if len(parents) != 3:
             raise ConstructionError("contraction triple shares a parent")
-        if min(triple) != h.n - 3:
+        if min(triple) != n - 3:
             raise ConstructionError(
                 f"contraction triple {triple} is not the last three vertices")
         plan.contraction = tuple(triple)
-        h = contract_set(h, triple)
-        plan.levels[-1] = ([min(triple)], [])
+        plan.levels[-1] = ([n - 3], [])
+        n -= 2
+        merged = [(min(a, n - 1), min(b, n - 1)) for a, b in edges]
+        edges = [(a, b) for a, b in merged if a != b]
+    h = Graph(n, edges)
+    if h.m != len(edges):
+        raise ConstructionError("duplicate edge slipped into the build")
     if h.n != plan.expected_order:
         raise ConstructionError(
             f"built {h.n} vertices, the plan expects {plan.expected_order}")
@@ -378,19 +384,14 @@ def build_many_soltes(t, r, q=None):
     if t < 1 or r < 1:
         raise ValueError("build_many_soltes needs t >= 1 and r >= 1")
     base = g_t_r(t, r)
-    delta = bfs_distances(base.graph, base["v1"])[base["u1"]]
+    delta = _bfs_raw(base.graph.adj, base.graph.n, base["v1"])[base["u1"]]
     constants = PlanConstants(t, delta)
     w0, w1 = _wieners(base.graph, [None, base["u1"]])
     gap = w1 - w0
-    feasible = []
-    qq = 1
-    while d_min(qq, constants) <= gap:
-        if gap <= d_max(qq, constants):
-            feasible.append(qq)
-        qq += 1
+    feasible, searched = feasible_q(gap, constants)
     if not feasible:
         raise ValueError(
-            f"infeasible: gap {gap} at t={t}, r={r} fits no q in [1, {qq - 1}]")
+            f"infeasible: gap {gap} at t={t}, r={r} fits no q in [1, {searched}]")
     if q is None:
         q = feasible[0]
     elif q not in feasible:
@@ -403,13 +404,11 @@ def build_many_soltes(t, r, q=None):
 def verify_construction(h: Graph, plan: ConstructionPlan) -> dict:
     """Aggregate postcondition checks for a finished build."""
     base = plan.base
-    d_v1 = bfs_distances(h, base["v1"])
-    d_v2 = bfs_distances(h, base["v2"])
-    layering = True
-    for i, (t1, t2) in enumerate(plan.levels):
-        for v in t1 + t2:
-            if min(d_v1[v], d_v2[v]) != i:
-                layering = False
+    # -1 marks a vertex the BFS did not reach, which fails the layering
+    d_v1 = _bfs_raw(h.adj, h.n, base["v1"])
+    d_v2 = _bfs_raw(h.adj, h.n, base["v2"])
+    layering = all(min(d_v1[v], d_v2[v]) == i
+                   for i, (t1, t2) in enumerate(plan.levels) for v in t1 + t2)
     centers = base.labels.get("centers", (base["u1"], base["u2"]))
     w, *values = _wieners(h, [None, *centers])
     per_center = dict(zip(centers, values))

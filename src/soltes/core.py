@@ -7,7 +7,9 @@ equality checks only (any arithmetic with it raises TypeError on purpose).
 There is one all-pairs distance kernel, _packed_pair_sums: a bit-packed
 simultaneous BFS that evaluates W(G) and any number of W(G - v) in one
 batched sweep on g itself, so no G - v is ever built.  wiener, profile and
-soltes_report all go through it; _bfs_raw serves single-source queries.
+soltes_report all go through it.  The only single-source routine is
+_bfs_raw, a plain BFS distance list with -1 for unreachable vertices; it
+serves is_connected and the builder's distance checks.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ class _Sentinel:
 
 
 INFINITE = _Sentinel("INFINITE")
-UNREACHABLE = _Sentinel("UNREACHABLE")
 ACYCLIC = _Sentinel("ACYCLIC")
 
 # Words of 64 bits per sweep array: a chunk of _packed_pair_sums holds
@@ -107,28 +108,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class DistanceVector:
-    """BFS distances from one source; UNREACHABLE marks other components."""
-
-    __slots__ = ("source", "dist")
-
-    def __init__(self, source, dist):
-        self.source = source
-        self.dist = tuple(dist)
-
-    def __getitem__(self, v):
-        return self.dist[v]
-
-    def __len__(self):
-        return len(self.dist)
-
-    def __iter__(self):
-        return iter(self.dist)
-
-    def __repr__(self):
-        return f"DistanceVector(source={self.source}, dist={self.dist})"
-
-
 class SoltesReport:
     """Wiener data for a connected graph and the effect of each deletion.
 
@@ -167,14 +146,6 @@ def _bfs_raw(adj, n, src):
                 dist[w] = du
                 queue.append(w)
     return dist
-
-
-def bfs_distances(g: Graph, src) -> DistanceVector:
-    """Exact unweighted shortest-path distances from src."""
-    if not (0 <= src < g.n):
-        raise ValueError(f"source {src} out of range for n={g.n}")
-    raw = _bfs_raw(g.adj, g.n, src)
-    return DistanceVector(src, [d if d >= 0 else UNREACHABLE for d in raw])
 
 
 def _neighbour_table(g):
@@ -275,19 +246,6 @@ def wiener(g: Graph):
     return _wieners(g, [None])[0]
 
 
-def transmission(g: Graph, v):
-    """Sum of distances from v to every vertex; INFINITE if any unreachable."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    raw = _bfs_raw(g.adj, g.n, v)
-    total = 0
-    for d in raw:
-        if d < 0:
-            return INFINITE
-        total += d
-    return total
-
-
 def delete_vertex(g: Graph, v) -> Graph:
     """Remove v; remaining vertices are compacted preserving their order."""
     if not (0 <= v < g.n):
@@ -378,7 +336,7 @@ def soltes_report(g: Graph, automorphisms=None) -> SoltesReport:
 def is_biconnected(g: Graph) -> bool:
     """True iff g is connected, has n >= 3 and no articulation vertex."""
     n = g.n
-    if n < 3 or not is_connected(g):
+    if n < 3:
         return False
     # iterative DFS low-link articulation test
     disc = [-1] * n
@@ -413,7 +371,8 @@ def is_biconnected(g: Graph) -> bool:
                     low[p] = low[u]
                 if p != 0 and low[u] >= disc[p]:
                     return False
-    return child_count <= 1
+    # timer counts the vertices the DFS reached: fewer than n is disconnected
+    return timer == n and child_count <= 1
 
 
 def _girth(g):
@@ -473,34 +432,3 @@ def profile(g: Graph) -> dict:
         "degrees": degrees,
         "regular": regular,
     }
-
-
-def contract_set(g: Graph, vs) -> Graph:
-    """Merge the vertices of vs into one, dropping loops and parallels.
-
-    The merged vertex sits where min(vs) sat; every other vertex keeps its
-    relative order (the same compaction as deleting a vertex).
-    """
-    vs = set(vs)
-    if not vs:
-        raise ValueError("cannot contract an empty vertex set")
-    for v in vs:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    anchor = min(vs)
-    new_id = {}
-    nxt = 0
-    for v in range(g.n):
-        if v == anchor:
-            merged = nxt
-            nxt += 1
-        elif v not in vs:
-            new_id[v] = nxt
-            nxt += 1
-    edges = []
-    for u, w in g.edges():
-        a = merged if u in vs else new_id[u]
-        b = merged if w in vs else new_id[w]
-        if a != b:
-            edges.append((a, b))
-    return Graph(nxt, edges)

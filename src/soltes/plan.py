@@ -10,8 +10,6 @@ time, from the binary-tree-like profile up to the all-twos chain.
 
 from __future__ import annotations
 
-import math
-
 
 class ConstructionError(Exception):
     """A construction or plan invariant failed: the program is at fault.
@@ -141,20 +139,32 @@ def d_max(q, c: PlanConstants):
     return 2 * q * c.delta + q * q + q
 
 
+def feasible_q(target, c: PlanConstants):
+    """The q whose [d_min, d_max] window holds target, and the last q tried.
+
+    d_min grows with q, so no q past the first with d_min(q) > target fits.
+    """
+    hits = []
+    q = 1
+    while d_min(q, c) <= target:
+        if target <= d_max(q, c):
+            hits.append(q)
+        q += 1
+    # d_max grows with q too, so the hits are one interval
+    if hits and hits[-1] - hits[0] + 1 != len(hits):
+        raise ConstructionError(f"feasible q for target {target} are not an "
+                                f"interval: {hits}")
+    return hits, q - 1
+
+
 def q_range(t):
     """Smallest and largest q whose [d_min, d_max] window contains f_poly(t)."""
     if t < 3:
         raise ValueError("q_range requires t >= 3")
-    c = PlanConstants(t)
     target = f_poly(t)
-    bound = 16 * t * math.isqrt(t - 1) + 16 * t
-    hits = [q for q in range(1, bound + 1)
-            if d_min(q, c) <= target <= d_max(q, c)]
+    hits, _ = feasible_q(target, PlanConstants(t))
     if not hits:
         raise ValueError(f"no q admits target {target} for t={t}")
-    # d_min and d_max are both increasing in q, so the hit set is an interval
-    if hits != list(range(hits[0], hits[-1] + 1)):
-        raise ConstructionError(f"feasible q for t={t} are not an interval: {hits}")
     return hits[0], hits[-1]
 
 

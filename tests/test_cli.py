@@ -1,6 +1,8 @@
 """Command line behavior: formats, ordering, exit codes."""
 
+import importlib
 import json
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -156,6 +158,15 @@ def test_console_script_is_installed():
                        text=True)
     assert r.returncode == 0
     assert r.stdout.strip() == "17 21"
+
+
+def test_console_script_entry_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
+        "project"]["scripts"]
+    module, _, attr = scripts["soltes"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_module_entry_matches_script():

@@ -8,9 +8,8 @@ from fractions import Fraction
 import pytest
 
 import soltes.core
-from soltes.core import (ACYCLIC, INFINITE, UNREACHABLE, Graph, bfs_distances,
-                         contract_set, delete_vertex, is_biconnected,
-                         is_connected, profile, soltes_report, transmission,
+from soltes.core import (ACYCLIC, INFINITE, Graph, delete_vertex,
+                         is_biconnected, is_connected, profile, soltes_report,
                          wiener, _bfs_raw, _packed_pair_sums, _wieners)
 
 
@@ -64,7 +63,7 @@ def test_sentinels_refuse_arithmetic():
         1 + INFINITE
     with pytest.raises(TypeError):
         INFINITE < 3
-    assert INFINITE != UNREACHABLE
+    assert INFINITE != ACYCLIC
     assert repr(ACYCLIC) == "ACYCLIC"
 
 
@@ -84,7 +83,8 @@ def test_wiener_and_transmission_exhaustive_small():
                 assert wiener(g) == sum(
                     int(d[i][j]) for i in range(n) for j in range(i + 1, n))
                 for v in range(n):
-                    assert transmission(g, v) == sum(int(x) for x in d[v])
+                    assert sum(_bfs_raw(g.adj, n, v)) == sum(
+                        int(x) for x in d[v])
 
 
 def test_bfs_against_floyd_warshall_random():
@@ -94,10 +94,10 @@ def test_bfs_against_floyd_warshall_random():
         g = random_graph(rng, n, rng.uniform(0.2, 0.7))
         d = floyd_warshall(n, list(g.edges()))
         for src in range(n):
-            dv = bfs_distances(g, src)
+            dv = _bfs_raw(g.adj, n, src)
             for v in range(n):
                 if d[src][v] == float("inf"):
-                    assert dv[v] is UNREACHABLE
+                    assert dv[v] == -1
                 else:
                     assert dv[v] == int(d[src][v])
 
@@ -117,7 +117,7 @@ def test_double_wiener_is_transmission_sum():
         if not is_connected(g):
             continue
         checked += 1
-        assert 2 * wiener(g) == sum(transmission(g, v) for v in range(g.n))
+        assert 2 * wiener(g) == sum(map(sum, bfs_distance_matrix(g)))
 
 
 def test_numpy_route_matches_pure_python():
@@ -126,20 +126,10 @@ def test_numpy_route_matches_pure_python():
     for _ in range(12):
         n = rng.randrange(64, 90)
         g = random_graph(rng, n, 0.08)
-        slow = 0
-        ok = True
-        for src in range(n):
-            dv = bfs_distances(g, src)
-            for v in range(n):
-                if dv[v] is UNREACHABLE:
-                    ok = False
-                    break
-                slow += dv[v]
-            if not ok:
-                break
+        rows = bfs_distance_matrix(g)
         fast = wiener(g)
-        if ok:
-            assert fast == slow // 2
+        if min(map(min, rows)) >= 0:
+            assert fast == sum(map(sum, rows)) // 2
         else:
             assert fast is INFINITE
 
@@ -342,8 +332,8 @@ def test_deletion_never_shortens_distances():
         checked += 1
         keep = [u for u in range(g.n) if u != v]
         for i, a in enumerate(keep):
-            da = bfs_distances(g, a)
-            ha = bfs_distances(h, i)
+            da = _bfs_raw(g.adj, g.n, a)
+            ha = _bfs_raw(h.adj, h.n, i)
             for j, b in enumerate(keep):
                 assert ha[j] >= da[b]
 
@@ -455,10 +445,8 @@ def test_profile_against_brute_force():
         p = profile(g)
         want_girth = brute_girth(g)
         assert p["girth"] == (want_girth if want_girth else ACYCLIC)
-        dvs = [bfs_distances(g, v) for v in range(n)]
         if is_connected(g):
-            assert p["diameter"] == max(
-                dv[v] for dv in dvs for v in range(n))
+            assert p["diameter"] == max(map(max, bfs_distance_matrix(g)))
         else:
             assert p["diameter"] is INFINITE
         assert p["degrees"] == tuple(sorted(g.degree(v) for v in range(n)))
@@ -473,10 +461,3 @@ def test_profile_large_graph_uses_same_answers():
     assert p["bipartite"] == (n % 2 == 0)
     assert p["regular"] == 2
 
-
-def test_contract_set_merges_to_smallest_index():
-    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
-    h = contract_set(g, [1, 4])
-    assert h.n == 5
-    # merged vertex keeps position 1; loop from the old (1,4) edge vanishes
-    assert set(h.edges()) == {(0, 1), (1, 2), (2, 3), (1, 3), (1, 4), (0, 4)}

@@ -2,8 +2,8 @@
 
 import pytest
 
-from soltes.core import (bfs_distances, delete_vertex,
-                         is_connected, profile, soltes_report, wiener)
+from soltes.core import (delete_vertex, is_connected, profile, soltes_report,
+                         wiener, _bfs_raw)
 from soltes.families import complete, cycle, g_t, g_t_r, path, wheel
 from soltes.plan import f_poly
 
@@ -61,8 +61,9 @@ def test_base_deletion_gap_matches_polynomial():
 def test_base_center_distance():
     for t in (1, 2, 3, 4):
         base = g_t(t)
-        assert bfs_distances(base.graph, base["v1"])[base["u1"]] == 3 * t + 3
-        assert bfs_distances(base.graph, base["v2"])[base["u2"]] == 3 * t + 3
+        g = base.graph
+        assert _bfs_raw(g.adj, g.n, base["v1"])[base["u1"]] == 3 * t + 3
+        assert _bfs_raw(g.adj, g.n, base["v2"])[base["u2"]] == 3 * t + 3
 
 
 def test_fanned_base_shape():
@@ -75,7 +76,7 @@ def test_fanned_base_shape():
         assert degs == [1, 1] + [3] * (g.n - 2)
         centers = base["centers"]
         assert len(centers) == 2 ** r
-        assert bfs_distances(g, base["v1"])[base["u1"]] == 3 * t + r + 2
+        assert _bfs_raw(g.adj, g.n, base["v1"])[base["u1"]] == 3 * t + r + 2
 
 
 def test_fanned_base_centers_interchangeable():

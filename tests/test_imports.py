@@ -1,4 +1,5 @@
-"""Module layout: imports sit at module top and form no cycle."""
+"""Module layout: imports sit at module top and form no cycle, and no
+invariant is an assert statement."""
 
 import ast
 import os
@@ -20,6 +21,15 @@ def test_no_import_inside_a_function():
                 found += [f"{path.name}:{node.lineno} in {fn.name}"
                           for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, found
+
+
+def test_no_assert_statement():
+    # python -O strips asserts, so an invariant must raise instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
     assert not found, found
 
 

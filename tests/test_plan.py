@@ -122,6 +122,30 @@ def test_q_range_bounds_are_tight():
                 assert not (d_min(q, c) <= target <= d_max(q, c))
 
 
+def exhaustive_window(t):
+    """Smallest and largest q that fit f_poly(t), by trying every candidate.
+
+    Each of the 2q attached vertices sits more than delta from its leaf, so
+    d_min(q) > 2 q delta, and no q above f_poly(t) // (2 delta) can fit.
+    """
+    c = PlanConstants(t)
+    target = f_poly(t)
+    hits = []
+    for q in range(1, target // (2 * c.delta) + 1):
+        assert d_min(q, c) > 2 * q * c.delta
+        if d_min(q, c) <= target <= d_max(q, c):
+            hits.append(q)
+    return hits[0], hits[-1]
+
+
+def test_q_range_is_the_exhaustive_window():
+    # a fixed search cap once cut both windows short
+    assert q_range(47) == (1146, 5316)
+    assert q_range(60) == (1677, 8822)
+    for t in range(3, 71):
+        assert q_range(t) == exhaustive_window(t), t
+
+
 def test_sequence_for_hits_target():
     c = PlanConstants(3)
     L = sequence_for(268, 9, c)
