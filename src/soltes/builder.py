@@ -10,7 +10,7 @@ without changing the Wiener index.
 
 from __future__ import annotations
 
-from .core import Graph, _bfs_raw, _wieners, is_biconnected
+from .core import INFINITE, Graph, _bfs_raw, _wieners, is_biconnected
 from .families import LabeledGraph, g_t, g_t_r
 from .plan import (ConstructionError, LayerSequence, PlanConstants,
                    f_poly, feasible_q, q_range, sequence_for)
@@ -396,7 +396,8 @@ def build_many_soltes(t, r, q=None):
         q = feasible[0]
     elif q not in feasible:
         raise ValueError(
-            f"infeasible: gap {gap} needs q in {feasible}, got {q}")
+            f"infeasible: gap {gap} needs q in [{feasible[0]}, "
+            f"{feasible[-1]}], got {q}")
     L = sequence_for(gap, q, constants)
     return _build(base, constants, L, r)
 
@@ -412,13 +413,17 @@ def verify_construction(h: Graph, plan: ConstructionPlan) -> dict:
     centers = base.labels.get("centers", (base["u1"], base["u2"]))
     w, *values = _wieners(h, [None, *centers])
     per_center = dict(zip(centers, values))
+    w_u1 = per_center[base["u1"]]
+    # INFINITE refuses arithmetic: a disconnected h or h - u1 has no gap
+    finite = w is not INFINITE and w_u1 is not INFINITE
     report = {
         "order": h.n == plan.expected_order,
         "regular": all(h.degree(v) == 3 for v in range(h.n)),
         "biconnected": is_biconnected(h),
         "layering": layering,
-        "centers": {c: per_center[c] == w for c in centers},
-        "wiener_gap": w - per_center[base["u1"]],
+        "centers": {c: w is not INFINITE and per_center[c] == w
+                    for c in centers},
+        "wiener_gap": w - w_u1 if finite else INFINITE,
     }
     report["ok"] = (report["order"] and report["regular"]
                     and report["biconnected"] and report["layering"]

@@ -11,9 +11,17 @@ That transposition never moves vertex 0 or vertex 1.  At v = 0 nothing is
 skipped, since every partner is fresh; at v >= 1, up has u's mask and so
 u's degree, so both are unsaturated, differ from v and lie above v.  So
 every (class, vertex x, neighbour y of x) still has a leaf that labels x
-vertex 0 and y vertex 1.  Every edge added touches the current vertex, so
-the edge that saturates a proper component saturates that vertex too, and
-the branch is cut right there: every leaf is connected.
+vertex 0 and y vertex 1.
+
+The search state is two bitmasks next to the adjacency masks: the
+unsaturated vertices and the touched ones (vertex 0 and every vertex with
+an edge).  Every edge touches v, and a fresh partner is the lowest
+untouched vertex, so the touched vertices are always a connected prefix
+0..t-1 and hold v.  So v is the lowest unsaturated bit, v's partners are
+one mask (unsaturated vertices of 0..t, not next to v, above the last
+partner), and the prefix is v's component.  When it holds no unsaturated
+vertex yet is not all n, it is a closed proper component, and the branch
+is cut there in O(1).  Every leaf is connected.
 
 At a leaf each vertex has an invariant key (_raw_key: BFS level sizes,
 then sorted shared-neighbour counts), and _root_min_keys drops the leaf
@@ -26,7 +34,11 @@ vertices, with all its neighbours saturated, already has fewer vertices
 at distance 2 than vertex 0, or is a neighbour of vertex 0 other than
 vertex 1 and has fewer than vertex 1 (saturated from v = 2 on, so its
 count can only grow): its key would be the smaller at every leaf of that
-branch, and _root_min_keys would drop them all.
+branch, and _root_min_keys would drop them all.  The cut tests each
+vertex once per branch, where v first passes its closed neighbourhood,
+and the leaf runs it as v = n before _root_min_keys.  Vertex 0's second
+level is final once its neighbours 1..r are saturated, vertex 1's once
+its neighbours are; from there each is passed down, not recomputed.
 
 The surviving leaves reach _ClassStore, which buckets on the sorted keys
 and runs the package's one isomorphism test (_isomorphic) against each
@@ -293,23 +305,9 @@ def gen_regular(n, r):
         return  # n isolated vertices: no connected graph
 
     adjm = [0] * n
-    deg = [0] * n
     store = _ClassStore(n)
     found = []
     full = (1 << n) - 1
-
-    def closed_small_component(v):
-        comp = frontier = 1 << v
-        while frontier:
-            # unsaturated vertices sit above v: pop the highest first
-            xi = frontier.bit_length() - 1
-            frontier ^= 1 << xi
-            if deg[xi] < r:
-                return False
-            new = adjm[xi] & ~comp
-            comp |= new
-            frontier |= new
-        return comp != full
 
     def second_level(x):
         """How many vertices are at distance 2 from x."""
@@ -321,59 +319,58 @@ def gen_regular(n, r):
             reach |= adjm[b.bit_length() - 1]
         return (reach & ~adjm[x] & ~(1 << x)).bit_count()
 
-    def rec(prev, lo):
-        # the smallest unsaturated vertex never moves down a branch
-        v = -1
-        for x in range(max(prev, 0), n):
-            if deg[x] < r:
-                v = x
-                break
-        if v < 0:
-            raw = _root_min_keys(n, adjm)
-            if raw is not None and store.add(adjm, raw):
-                found.append(Graph._from_adj(tuple(
-                    tuple(b for b in range(n) if a >> b & 1) for a in adjm)))
-            return
+    def rec(prev, lo, unsat, touched, s0, s1):
+        # s0, s1: vertex 0's and vertex 1's final second levels, or -1
+        v = (unsat & -unsat).bit_length() - 1 if unsat else n
         if v != prev:
             lo = v + 1
-            # 0..v-1 are saturated.  A vertex x that now lies below v
-            # together with its neighbours, and did not below prev, has
-            # reached its final second BFS level; vertex 0's can only grow
-            # from here, as its neighbours are fixed.  If x's is already
-            # the smaller, x's key is below vertex 0's at every leaf under
-            # this node, and _root_min_keys would drop them all.
-            # Vertex 1 is saturated too once v >= 2, so a neighbour x != 1
-            # of vertex 0 whose final second level is below vertex 1's has
-            # a key below vertex 1's, which _root_min_keys rejects as well.
-            if v:
+            # 0..v-1 are saturated.  x's second level is final from where
+            # v first passes its closed neighbourhood: near holds prev..v-1
+            # and their neighbours below v.  The leaf runs this as v = n.
+            if v > 1:
                 top = 1 << v
-                seen = 1 << prev
                 a0 = adjm[0]
-                s0 = s1 = -1
-                for x in range(1, v):
-                    if seen <= adjm[x] | 1 << x < top:
+                t1 = s1
+                near = f = top - (1 << prev)
+                while f:
+                    b = f & -f
+                    f ^= b
+                    near |= adjm[b.bit_length() - 1]
+                near &= top - 2
+                while near:
+                    b = near & -near
+                    near ^= b
+                    x = b.bit_length() - 1
+                    if adjm[x] < top:
+                        # x's r neighbours lie below v, so 1..r do too
                         if s0 < 0:
                             s0 = second_level(0)
                         sx = second_level(x)
                         if sx < s0:
                             return
                         if x > 1 and a0 >> x & 1:
-                            if s1 < 0:
-                                s1 = second_level(1)
-                            if sx < s1:
+                            if t1 < 0:
+                                t1 = second_level(1)
+                            if sx < t1:
                                 return
-        # vertices below v are saturated, so the fresh one lies above v
-        fresh = -1
-        for x in range(v + 1, n):
-            if deg[x] == 0:
-                fresh = x
-                break
+                if adjm[1] < top:
+                    s1 = t1
+            if v == n:
+                raw = _root_min_keys(n, adjm)
+                if raw is not None and store.add(adjm, raw):
+                    found.append(Graph._from_adj(tuple(
+                        tuple(b for b in range(n) if a >> b & 1)
+                        for a in adjm)))
+                return
+        # partners above lo: unsaturated touched vertices and the fresh one
         av = adjm[v]
-        for u in range(lo, n):
-            if deg[u] >= r or av >> u & 1:
-                continue
-            if deg[u] == 0 and u != fresh:
-                continue
+        vbit = 1 << v
+        vsat = av.bit_count() + 1 == r
+        cand = unsat & (touched | touched + 1) & ~av & -(1 << lo)
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            u = b.bit_length() - 1
             # identical masks make u and the earlier vertex swappable by a
             # transposition automorphism, so that branch already covers
             # this one
@@ -383,18 +380,19 @@ def gen_regular(n, r):
                 up = adjm.index(au, v + 1)
             if up < u:
                 continue
-            adjm[v] |= 1 << u
-            adjm[u] |= 1 << v
-            deg[v] += 1
-            deg[u] += 1
-            if not (deg[v] == r and closed_small_component(v)):
-                rec(v, u + 1)
-            adjm[v] &= ~(1 << u)
-            adjm[u] &= ~(1 << v)
-            deg[v] -= 1
-            deg[u] -= 1
+            nu = unsat ^ vbit if vsat else unsat
+            if au.bit_count() + 1 == r:
+                nu ^= b
+            nt = touched | b
+            # touched is v's component: cut it once closed short of full
+            if nu & nt or nt == full:
+                adjm[v] = av | b
+                adjm[u] = au | vbit
+                rec(v, u + 1, nu, nt, s0, s1)
+                adjm[v] = av
+                adjm[u] = au
 
-    rec(-1, 0)
+    rec(-1, 0, full if r else 0, 1, -1, -1)
     del rec  # the same cycle as place in _isomorphic
     yield from found
 

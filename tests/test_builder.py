@@ -9,7 +9,8 @@ from soltes.builder import (assemble, build_many_soltes,
                             build_two_soltes, place_blue_edges,
                             place_red_edges, realize_trees,
                             verify_construction)
-from soltes.core import delete_vertex, is_biconnected, wiener
+from soltes.core import (INFINITE, Graph, delete_vertex, is_biconnected,
+                         wiener)
 from soltes.families import g_t
 from soltes.plan import (ConstructionError, LayerSequence, PlanConstants,
                          d_of, f_poly)
@@ -156,6 +157,20 @@ def test_build_two_soltes_default_and_explicit_q():
     h2, plan2 = build_two_soltes(4, 19)
     assert plan2.L.q == 19
     assert verify_construction(h2, plan2)["ok"]
+
+
+def test_verify_construction_reports_a_disconnected_build():
+    # Cutting every edge of one last-level vertex leaves it isolated: the
+    # report comes back not ok, with no arithmetic on INFINITE.
+    h, plan = build_two_soltes(3)
+    x = plan.levels[-1][0][0]
+    cut = Graph(h.n, [(u, v) for u, v in h.edges() if x not in (u, v)])
+    rep = verify_construction(cut, plan)
+    assert rep["ok"] is False
+    assert rep["wiener_gap"] is INFINITE
+    assert not rep["regular"] and not rep["biconnected"]
+    assert not rep["layering"]
+    assert not any(rep["centers"].values())
 
 
 def test_build_two_soltes_argument_errors():

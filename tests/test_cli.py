@@ -61,6 +61,15 @@ def test_construct_infeasible_fan_is_failure(capsys):
     assert "gap 83" in err
 
 
+def test_construct_fan_q_outside_window_names_the_interval(capsys):
+    # feasible_q guarantees an interval, so its two ends say it all
+    code, out, err = run_cli(capsys, "construct", "--t", "20", "--r", "2",
+                             "--q", "1")
+    assert code == 1 and out == ""
+    assert "gap 116295 needs q in [283, 810], got 1" in err
+    assert len(err) < 100
+
+
 def test_construct_fan_success(capsys):
     code, out, _ = run_cli(capsys, "construct", "--t", "4", "--r", "2")
     g6, plan_line = out.splitlines()

@@ -1,6 +1,7 @@
 """Regular-graph generation, the isomorphism test, census classification."""
 
 import gc
+import hashlib
 import itertools
 import random
 
@@ -169,15 +170,17 @@ def test_store_keeps_a_labelling_whose_vertex_0_is_not_minimal():
 
 
 @pytest.mark.parametrize("n,r,leaves,stored",
-                         [(12, 3, 775, 280), (10, 4, 1633, 256)])
+                         [(12, 3, 437, 280), (10, 4, 1215, 256)],
+                         ids=["cubic-12", "quartic-10"])
 def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored):
     # Leaves that reach the root-key filter, and those that pass it into
     # the class store.  A weaker second-level cut in the recursion (on
     # vertex 0 or on vertex 1) raises the first count, a weaker filter on
-    # vertex 0's or vertex 1's key the second.  With neither cut nor the
-    # vertex-1 filter, cubic n=12 had 1,201 and 513, quartic n=10 1,692
-    # and 524; with no cut or filter at all, all 2,999 leaves of cubic n=12
-    # reached the store.
+    # vertex 0's or vertex 1's key the second.  Without the cut at the
+    # leaf itself, the first counts were 775 and 1,633; with neither cut
+    # nor the vertex-1 filter, cubic n=12 had 1,201 and 513, quartic n=10
+    # 1,692 and 524; with no cut or filter at all, all 2,999 leaves of
+    # cubic n=12 reached the store.
     import soltes.enumeration as enumeration
     calls = {"filter": 0, "store": 0}
 
@@ -193,6 +196,29 @@ def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored):
                         counted("store", enumeration._mask_keys))
     list(gen_regular(n, r))
     assert calls == {"filter": leaves, "store": stored}
+
+
+@pytest.mark.parametrize("n,r,digest", [
+    (12, 3, "211db64c384d12833e4f78ce31b85c6b"
+            "75301c0f94d724c501b4a4a0e055ed53"),
+    (10, 4, "d2157b018377864bfaed563fcf059c95"
+            "e5e67c8e40fad76ce30d03f4a1e0dbce"),
+], ids=["cubic-12", "quartic-10"])
+def test_store_add_sequence_is_pinned(monkeypatch, n, r, digest):
+    # sha256 over repr((masks, raw)) of every leaf that reaches the class
+    # store, in order.  A cut may drop only leaves that the root-key filter
+    # would drop, so a faster search keeps this sequence; a change to the
+    # search order or to the leaves that pass moves it.
+    add = _ClassStore.add
+    h = hashlib.sha256()
+
+    def hashed(self, masks, raw):
+        h.update(repr((masks, raw)).encode())
+        return add(self, masks, raw)
+
+    monkeypatch.setattr(_ClassStore, "add", hashed)
+    list(gen_regular(n, r))
+    assert h.hexdigest() == digest
 
 
 def test_filter_drops_a_labelling_whose_vertex_1_is_not_minimal():

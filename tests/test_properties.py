@@ -1,4 +1,5 @@
-"""Property tests: the masked deletion against a plain-BFS oracle.
+"""Property tests: the masked deletion against a plain-BFS oracle, and the
+layer-sequence modify walk against its closed-form ends.
 
 Examples are derandomized, so every run draws the same graphs.
 """
@@ -9,6 +10,9 @@ import pytest
 
 from soltes.core import (INFINITE, Graph, _bfs_raw, _wieners, delete_vertex,
                          soltes_report, wiener)
+from soltes.plan import (LayerSequence, PlanConstants, SequenceExhausted,
+                         d_max, d_min, d_of, enumerate_chain, long_sequence,
+                         modify, sequence_for, short_sequence)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -97,3 +101,23 @@ def test_strategy_reaches_every_case():
     record()
     assert seen == {"sweep", "bfs", "dense sweep", "dense bfs",
                     "disconnected", "connected", "cut vertex"}
+
+
+@SETTINGS
+@hypothesis.given(st.integers(1, 40), st.integers(1, 30), st.data())
+def test_modify_walk_steps_one_unit_from_short_to_long(q, t, data):
+    c = PlanConstants(t)
+    chain = enumerate_chain(q)
+    assert chain[0] == short_sequence(q) and chain[-1] == long_sequence(q)
+    assert d_of(chain[0], c) == d_min(q, c)
+    assert d_of(chain[-1], c) == d_max(q, c)
+    for a, b in zip(chain, chain[1:]):
+        step = modify(a)
+        assert step == b
+        # the constructor re-checks every layer condition
+        assert LayerSequence(step.layers).q == q
+        assert d_of(step, c) == d_of(a, c) + 1
+    with pytest.raises(SequenceExhausted):
+        modify(chain[-1])
+    D = data.draw(st.integers(d_min(q, c), d_max(q, c)), label="D")
+    assert sequence_for(D, q, c) == chain[D - d_min(q, c)]
