@@ -5,7 +5,9 @@ and v2 with prescribed level sizes, then inter-level (red) and same-level
 (blue) edges complete every vertex to degree three.  The level sizes are
 chosen so the attachment's weighted distance total equals the base's
 deletion gap, which makes the far pair (or every chain center) removable
-without changing the Wiener index.
+without changing the Wiener index.  A ConstructionPlan holds one build's
+working graph from its creation on; realize_trees, place_red_edges,
+place_blue_edges and assemble run on it in that order.
 """
 
 from __future__ import annotations
@@ -16,48 +18,62 @@ from .plan import (ConstructionError, LayerSequence, PlanConstants,
                    f_poly, feasible_q, q_range, sequence_for)
 
 
+class Infeasible(ValueError):
+    """No attachment size q fits the base's deletion gap (the CLI exits 1)."""
+
+
 class ConstructionPlan:
-    """Working record of one build: trees, red/blue edges, contraction."""
+    """One build: its trees, red/blue edges and contraction, and the working
+    graph (adjacency, free valency, child counts) that the phases grow.
+
+    A final layer of one is built as three vertices, the last three ids,
+    which assemble contracts into one.
+    """
 
     def __init__(self, base: LabeledGraph, constants: PlanConstants,
-                 L: LayerSequence, r=1):
+                 L: LayerSequence):
+        layers = list(L.layers)
+        contract = layers[-1] == 1
+        if contract:
+            if len(layers) < 2 or layers[-2] < 3:
+                raise ValueError("a final layer of 1 needs at least 3 above it")
+            layers[-1] = 3
+        end = base.graph.n + sum(layers)
+        v1, v2 = base["v1"], base["v2"]
         self.base = base
         self.constants = constants
         self.L = L
-        self.r = r
+        self.build_layers = tuple(layers)
+        self.expected_order = base.graph.n + 2 * L.q
+        self.contraction = tuple(range(end - 3, end)) if contract else None
         self.tree_parents = {}
         self.red_edges = []
         self.blue_edges = []
-        self.contraction = None
-        self.levels = []
-        self.build_layers = None
-        self.expected_order = base.graph.n + 2 * L.q
-        self._adj = None
-        self._free = None
-        self._children = None
-        self._next_id = None
-        self._new_edges = None
-        self._contract_last = L.layers[-1] == 1
+        self.levels = [([v1], [v2])]
+        self._adj = [set(nbrs) for nbrs in base.graph.adj]
+        self._free = {v1: 2, v2: 2}
+        self._children = {v1: 0, v2: 0}
+        self._new_edges = []
 
     @property
     def labels(self):
         return self.base.labels
 
     def to_dict(self):
+        """The plan as json.dumps takes it; r is read off the 2^r centers."""
         return {
             "t": self.constants.t,
-            "r": self.r,
+            "r": len(self.labels["centers"]).bit_length() - 1,
             "q": self.L.q,
             "delta": self.constants.delta,
-            "layers": list(self.L.layers),
+            "layers": self.L.layers,
             "order": self.expected_order,
-            "tree_parents": sorted(
-                [v, p, lvl, tr] for v, (p, lvl, tr) in self.tree_parents.items()),
-            "red_edges": [list(e) for e in self.red_edges],
-            "blue_edges": [list(e) for e in self.blue_edges],
-            "contraction": list(self.contraction) if self.contraction else None,
-            "labels": {k: (list(v) if isinstance(v, tuple) else v)
-                       for k, v in self.base.labels.items()},
+            "tree_parents": sorted((v, *rest)
+                                   for v, rest in self.tree_parents.items()),
+            "red_edges": self.red_edges,
+            "blue_edges": self.blue_edges,
+            "contraction": self.contraction,
+            "labels": self.labels,
         }
 
 
@@ -73,31 +89,20 @@ def _add_edge(plan, a, b):
         raise ConstructionError(f"degree overflow at ({a},{b})")
 
 
+def _add_blue(plan, a, b):
+    _add_edge(plan, a, b)
+    plan.blue_edges.append((a, b))
+
+
 def realize_trees(base: LabeledGraph, constants: PlanConstants,
                   L: LayerSequence) -> ConstructionPlan:
     """Grow the two level trees from v1 and v2 (phase one of three).
 
     Level counts split as ceil/floor between the trees; children go one per
     parent first, then the earliest parents take a second child, which keeps
-    the per-level number of degree-3 tree vertices minimal.  A final layer
-    of one is built as a layer of three and contracted later.
+    the per-level number of degree-3 tree vertices minimal.
     """
     plan = ConstructionPlan(base, constants, L)
-    layers = list(L.layers)
-    if plan._contract_last:
-        if len(layers) < 2 or layers[-2] < 3:
-            raise ValueError("a final layer of 1 needs at least 3 above it")
-        layers[-1] = 3
-    plan.build_layers = tuple(layers)
-
-    g = base.graph
-    v1, v2 = base["v1"], base["v2"]
-    plan._adj = [set(nbrs) for nbrs in g.adj]
-    plan._free = {v1: 2, v2: 2}
-    plan._children = {v1: 0, v2: 0}
-    plan._new_edges = []
-    plan.levels = [([v1], [v2])]
-    nxt = g.n
     for i, l in enumerate(plan.build_layers, start=1):
         counts = ((l + 1) // 2, l // 2)
         row = ([], [])
@@ -109,25 +114,21 @@ def realize_trees(base: LabeledGraph, constants: PlanConstants,
                     f"level {i}: {need} vertices cannot hang under "
                     f"{len(parents)} parents")
             single = min(need, len(parents))
-            assign = parents[:single] + parents[:need - single]
-            for p in assign:
+            for p in parents[:single] + parents[:need - single]:
+                v = len(plan._adj)
                 plan._adj.append(set())
-                plan._free[nxt] = 3
-                plan._children[nxt] = 0
-                plan.tree_parents[nxt] = (p, i, tr + 1)
-                row[tr].append(nxt)
+                plan._free[v] = 3
+                plan._children[v] = 0
+                plan.tree_parents[v] = (p, i, tr + 1)
+                row[tr].append(v)
                 plan._children[p] += 1
-                _add_edge(plan, p, nxt)
-                nxt += 1
+                _add_edge(plan, p, v)
         plan.levels.append(row)
-    plan._next_id = nxt
     return plan
 
 
 def _level_leaves(plan, i):
     t1, t2 = plan.levels[i]
-    if i == 0:
-        return [], []
     return ([v for v in t1 if plan._children[v] == 0],
             [v for v in t2 if plan._children[v] == 0])
 
@@ -184,20 +185,16 @@ def place_red_edges(plan: ConstructionPlan) -> ConstructionPlan:
         prefix += l
         if prefix % 2 == 0:
             continue
-        placed = False
         for x in _red_options(plan, i - 1, "down"):
             if plan._free[x] < 1:
                 continue
-            for y in _red_options(plan, i, "up"):
-                if plan._free[y] < 1 or x in plan._adj[y]:
-                    continue
+            y = next((y for y in _red_options(plan, i, "up")
+                      if plan._free[y] > 0 and x not in plan._adj[y]), None)
+            if y is not None:
                 _add_edge(plan, x, y)
                 plan.red_edges.append((x, y))
-                placed = True
                 break
-            if placed:
-                break
-        if not placed:
+        else:
             raise ConstructionError(
                 f"no red edge placement between levels {i - 1} and {i}")
     return plan
@@ -221,32 +218,23 @@ def _pool_match(plan, vertices):
         partner = next((u for u in live[1:] if u not in plan._adj[v]), None)
         if partner is None:
             raise ConstructionError(f"blue matching stuck at vertex {v}")
-        _add_edge(plan, v, partner)
-        plan.blue_edges.append((v, partner))
+        _add_blue(plan, v, partner)
 
 
 def _blue_interior(plan, i):
     t1, t2 = plan.levels[i]
     leaves1, leaves2 = _level_leaves(plan, i)
-    if 0 < i < len(plan.levels) - 1 and abs(len(leaves1) - len(leaves2)) > 1:
+    if i < len(plan.levels) - 1 and abs(len(leaves1) - len(leaves2)) > 1:
         raise ConstructionError(f"leaf skew at level {i}")
     leaves = leaves1 + leaves2
 
     def anchor(a, target_row):
         b = _first_free_nonleaf(plan, target_row)
         if b is not None and plan._free[a] > 0 and b not in plan._adj[a]:
-            _add_edge(plan, a, b)
-            plan.blue_edges.append((a, b))
+            _add_blue(plan, a, b)
 
     if len(leaves) >= 3:
-        order = _interleave(leaves1, leaves2)
-        for v in order:
-            if plan._free[v] != 2:
-                raise ConstructionError(
-                    f"level-{i} leaf {v} lost valency to red")
-        for a, b in zip(order, order[1:] + order[:1]):
-            _add_edge(plan, a, b)
-            plan.blue_edges.append((a, b))
+        _blue_cycle(plan, leaves1, leaves2)
     elif len(leaves) == 2 and leaves1 and leaves2:
         anchor(leaves1[0], t2)
         anchor(leaves2[0], t1)
@@ -260,17 +248,16 @@ def _blue_interior(plan, i):
     _pool_match(plan, t1 + t2)
 
 
-def _blue_last_cycle(plan):
-    t1, t2 = plan.levels[-1]
-    order = _interleave(t1, t2)
+def _blue_cycle(plan, a, b):
+    """Close the vertices of a and b, interleaved, into one blue cycle."""
+    order = _interleave(a, b)
     if len(order) < 3:
-        raise ConstructionError(f"last level has {len(order)} vertices, not >= 3")
+        raise ConstructionError(f"a blue cycle needs >= 3 vertices, got {order}")
     for v in order:
         if plan._free[v] != 2:
-            raise ConstructionError(f"last-level vertex {v} lost valency")
-    for a, b in zip(order, order[1:] + order[:1]):
-        _add_edge(plan, a, b)
-        plan.blue_edges.append((a, b))
+            raise ConstructionError(f"cycle vertex {v} lost valency")
+    for x, y in zip(order, order[1:] + order[:1]):
+        _add_blue(plan, x, y)
 
 
 def _blue_joint_tail(plan):
@@ -281,18 +268,13 @@ def _blue_joint_tail(plan):
     w2 = plan.tree_parents[y2][0]
     leaves = [v for v in up1 + up2 if plan._children[v] == 0]
     if not leaves:
-        for a, b in ((w1, y2), (w2, y1), (y1, y2)):
-            _add_edge(plan, a, b)
-            plan.blue_edges.append((a, b))
+        pairs = [(w1, y2), (w2, y1), (y1, y2)]
     else:
         x = leaves[0]
-        for a, b in ((x, y1), (x, y2), (y1, y2)):
-            _add_edge(plan, a, b)
-            plan.blue_edges.append((a, b))
         chain = [w1] + leaves[1:] + [w2]
-        for a, b in zip(chain, chain[1:]):
-            _add_edge(plan, a, b)
-            plan.blue_edges.append((a, b))
+        pairs = [(x, y1), (x, y2), (y1, y2), *zip(chain, chain[1:])]
+    for a, b in pairs:
+        _add_blue(plan, a, b)
     for v in list(up1) + list(up2) + [y1, y2]:
         if plan._free[v]:
             raise ConstructionError(f"unfilled valency at {v} in tail closure")
@@ -308,7 +290,7 @@ def place_blue_edges(plan: ConstructionPlan) -> ConstructionPlan:
     if joint:
         _blue_joint_tail(plan)
     else:
-        _blue_last_cycle(plan)
+        _blue_cycle(plan, *plan.levels[-1])
     return plan
 
 
@@ -319,18 +301,15 @@ def assemble(plan: ConstructionPlan) -> Graph:
     them; its triangle's three edges become loops and drop out.
     """
     edges = list(plan.base.graph.edges()) + plan._new_edges
-    n = plan._next_id
-    if plan._contract_last:
+    n = len(plan._adj)
+    if plan.contraction:
         triple = plan.levels[-1][0] + plan.levels[-1][1]
-        if len(triple) != 3:
-            raise ConstructionError(f"contraction needs 3 vertices, got {triple}")
+        if tuple(triple) != plan.contraction:
+            raise ConstructionError(f"last level {triple} is not the "
+                                    f"contraction triple {plan.contraction}")
         parents = {plan.tree_parents[v][0] for v in triple}
         if len(parents) != 3:
             raise ConstructionError("contraction triple shares a parent")
-        if min(triple) != n - 3:
-            raise ConstructionError(
-                f"contraction triple {triple} is not the last three vertices")
-        plan.contraction = tuple(triple)
         plan.levels[-1] = ([n - 3], [])
         n -= 2
         merged = [(min(a, n - 1), min(b, n - 1)) for a, b in edges]
@@ -346,9 +325,8 @@ def assemble(plan: ConstructionPlan) -> Graph:
     return h
 
 
-def _build(base, constants, L, r):
+def _build(base, constants, L):
     plan = realize_trees(base, constants, L)
-    plan.r = r
     place_red_edges(plan)
     place_blue_edges(plan)
     h = assemble(plan)
@@ -371,14 +349,14 @@ def build_two_soltes(t, q=None):
     base = g_t(t)
     constants = PlanConstants(t)
     L = sequence_for(f_poly(t), q, constants)
-    return _build(base, constants, L, 1)
+    return _build(base, constants, L)
 
 
 def build_many_soltes(t, r, q=None):
     """Cubic 2-connected graph where all 2^r chain centers are removable.
 
     The deletion gap is measured on the fanned base by brute force, never
-    extrapolated from the r=1 polynomial.  Raises ValueError naming the gap
+    extrapolated from the r=1 polynomial.  Raises Infeasible naming the gap
     and the searched interval when no attachment size fits.
     """
     if t < 1 or r < 1:
@@ -388,18 +366,17 @@ def build_many_soltes(t, r, q=None):
     constants = PlanConstants(t, delta)
     w0, w1 = _wieners(base.graph, [None, base["u1"]])
     gap = w1 - w0
-    feasible, searched = feasible_q(gap, constants)
-    if not feasible:
-        raise ValueError(
+    lo, hi, searched = feasible_q(gap, constants)
+    if lo is None:
+        raise Infeasible(
             f"infeasible: gap {gap} at t={t}, r={r} fits no q in [1, {searched}]")
     if q is None:
-        q = feasible[0]
-    elif q not in feasible:
-        raise ValueError(
-            f"infeasible: gap {gap} needs q in [{feasible[0]}, "
-            f"{feasible[-1]}], got {q}")
+        q = lo
+    elif not lo <= q <= hi:
+        raise Infeasible(
+            f"infeasible: gap {gap} needs q in [{lo}, {hi}], got {q}")
     L = sequence_for(gap, q, constants)
-    return _build(base, constants, L, r)
+    return _build(base, constants, L)
 
 
 def verify_construction(h: Graph, plan: ConstructionPlan) -> dict:
@@ -410,7 +387,7 @@ def verify_construction(h: Graph, plan: ConstructionPlan) -> dict:
     d_v2 = _bfs_raw(h.adj, h.n, base["v2"])
     layering = all(min(d_v1[v], d_v2[v]) == i
                    for i, (t1, t2) in enumerate(plan.levels) for v in t1 + t2)
-    centers = base.labels.get("centers", (base["u1"], base["u2"]))
+    centers = base["centers"]
     w, *values = _wieners(h, [None, *centers])
     per_center = dict(zip(centers, values))
     w_u1 = per_center[base["u1"]]

@@ -6,7 +6,8 @@ import argparse
 import json
 import sys
 
-from .builder import build_many_soltes, build_two_soltes, verify_construction
+from .builder import (Infeasible, build_many_soltes, build_two_soltes,
+                      verify_construction)
 from .cayley import catalog_entry, load_catalog, verify_entry
 from .codec import decode_graph6, encode_graph6, write_report
 from .core import soltes_report
@@ -46,16 +47,12 @@ def _cmd_construct(args, out):
     else:
         try:
             h, plan = build_many_soltes(args.t, args.r, args.q)
-        except ValueError as exc:
+        except Infeasible as exc:
             print(str(exc), file=sys.stderr)
             return 1
     report = verify_construction(h, plan)
-    payload = plan.to_dict()
-    payload["verification"] = {
-        k: (v if not isinstance(v, dict) else {str(c): b for c, b in v.items()})
-        for k, v in report.items()}
     print(encode_graph6(h), file=out)
-    print(json.dumps(payload), file=out)
+    print(json.dumps({**plan.to_dict(), "verification": report}), file=out)
     return 0 if report["ok"] else 1
 
 

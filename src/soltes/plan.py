@@ -5,7 +5,9 @@ at each distance i from the two attachment leaves.  The weighted total
 d_of(L) = sum (delta + i) * l_i is the amount the attachment adds to the
 deletion gap, so hitting a target gap means finding a sequence with the
 right weighted total; the modify step walks the whole range one unit at a
-time, from the binary-tree-like profile up to the all-twos chain.
+time, from the binary-tree-like profile up to the all-twos chain.  One
+generator owns that walk: sequence_for stops it at a target total, and
+enumerate_chain yields every sequence on it as it is reached.
 """
 
 from __future__ import annotations
@@ -50,18 +52,11 @@ class LayerSequence:
         self.layers = layers
         self.q = total // 2
 
-    @property
-    def depth(self):
-        return len(self.layers)
-
     def __iter__(self):
         return iter(self.layers)
 
     def __len__(self):
         return len(self.layers)
-
-    def __getitem__(self, i):
-        return self.layers[i]
 
     def __eq__(self, other):
         if isinstance(other, LayerSequence):
@@ -140,21 +135,24 @@ def d_max(q, c: PlanConstants):
 
 
 def feasible_q(target, c: PlanConstants):
-    """The q whose [d_min, d_max] window holds target, and the last q tried.
+    """(lo, hi, last q tried): the ends of the q whose [d_min, d_max] window
+    holds target, or (None, None, last q tried) when none does.
 
     d_min grows with q, so no q past the first with d_min(q) > target fits.
     """
-    hits = []
+    lo = hi = None
     q = 1
     while d_min(q, c) <= target:
         if target <= d_max(q, c):
-            hits.append(q)
+            # d_max grows with q too, so the hits are one interval
+            if lo is None:
+                lo = q
+            elif hi != q - 1:
+                raise ConstructionError(f"feasible q for target {target} are "
+                                        f"not an interval: {hi}, then {q}")
+            hi = q
         q += 1
-    # d_max grows with q too, so the hits are one interval
-    if hits and hits[-1] - hits[0] + 1 != len(hits):
-        raise ConstructionError(f"feasible q for target {target} are not an "
-                                f"interval: {hits}")
-    return hits, q - 1
+    return lo, hi, q - 1
 
 
 def q_range(t):
@@ -162,10 +160,10 @@ def q_range(t):
     if t < 3:
         raise ValueError("q_range requires t >= 3")
     target = f_poly(t)
-    hits, _ = feasible_q(target, PlanConstants(t))
-    if not hits:
+    lo, hi, _ = feasible_q(target, PlanConstants(t))
+    if lo is None:
         raise ValueError(f"no q admits target {target} for t={t}")
-    return hits[0], hits[-1]
+    return lo, hi
 
 
 def _modify_step(layers, start=0):
@@ -202,20 +200,30 @@ def modify(L: LayerSequence) -> LayerSequence:
     return LayerSequence(layers)
 
 
+def _walk(q):
+    """The modify walk from short_sequence(q) to exhaustion.
+
+    Yields one layer list, changed in place: first as the short sequence,
+    then after every step.
+    """
+    layers = list(short_sequence(q).layers)
+    yield layers
+    start = 0
+    while (i := _modify_step(layers, start)) >= 0:
+        # the step changed only l_i and l_{i+1}, so the conditions at the
+        # indices below i - 1 are unchanged, and none of them qualified
+        start = max(i - 1, 0)
+        yield layers
+
+
 def sequence_for(D, q, c: PlanConstants) -> LayerSequence:
     """The modify-walk sequence with weighted total exactly D."""
     lo, hi = d_min(q, c), d_max(q, c)
     if not lo <= D <= hi:
         raise ValueError(f"D={D} outside [{lo}, {hi}] for q={q}")
-    layers = list(short_sequence(q).layers)
-    start = 0
-    for _ in range(D - lo):
-        i = _modify_step(layers, start)
-        if i < 0:
-            raise SequenceExhausted(str(LayerSequence(layers)))
-        # the step changed only l_i and l_{i+1}, so the conditions at the
-        # indices below i - 1 are unchanged, and none of them qualified
-        start = max(i - 1, 0)
+    for step, layers in enumerate(_walk(q)):
+        if step == D - lo:
+            break
     L = LayerSequence(layers)
     if d_of(L, c) != D:
         raise ConstructionError(f"modify walk reached {d_of(L, c)}, not D={D}")
@@ -223,15 +231,6 @@ def sequence_for(D, q, c: PlanConstants) -> LayerSequence:
 
 
 def enumerate_chain(q):
-    """All sequences on the modify walk from short to exhaustion, in order."""
-    c = PlanConstants(1)
-    cap = d_max(q, c) - d_min(q, c) + 1
-    L = short_sequence(q)
-    out = [L]
-    for _ in range(cap):
-        try:
-            L = modify(L)
-        except SequenceExhausted:
-            return out
-        out.append(L)
-    raise RuntimeError(f"modify walk for q={q} exceeded {cap} steps")
+    """Yield the sequences of the modify walk from short to exhaustion."""
+    for layers in _walk(q):
+        yield LayerSequence(layers)

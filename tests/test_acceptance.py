@@ -118,7 +118,7 @@ _CHAIN_PREFIX = [
 
 def test_criterion_05_layer_chain_for_twenty():
     with _criterion("criterion 05 layer-sequence chain 2q=20", 1.0):
-        chain = enumerate_chain(10)
+        chain = list(enumerate_chain(10))
         assert len(chain) == 67
         assert [s.layers for s in chain[:37]] == _CHAIN_PREFIX
         assert chain[-1].layers == (2,) * 10

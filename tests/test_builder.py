@@ -202,6 +202,7 @@ def test_build_many_r2():
     assert rep["ok"]
     centers = plan.base["centers"]
     assert len(centers) == 4
+    assert plan.to_dict()["r"] == 2
     w = wiener(h)
     for c in centers:
         assert wiener(delete_vertex(h, c)) == w
@@ -217,6 +218,10 @@ def test_plan_serialization_roundtrips_json():
     assert blob["layers"] == [3, 3, 5, 7]
     assert len(blob["tree_parents"]) == 2 * 9
     assert blob["labels"]["u1"] == plan.base["u1"]
+    assert blob["r"] == 1
+    # r is read off the base's 2^r centers
+    _, plan = build_many_soltes(6, 3)
+    assert json.loads(json.dumps(plan.to_dict()))["r"] == 3
 
 
 # Doubles the first tree edge of a fresh plan.

@@ -1,11 +1,15 @@
 """Command line behavior: formats, ordering, exit codes."""
 
+import contextlib
+import hashlib
 import importlib
 import json
+import os
 import pathlib
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -39,6 +43,27 @@ def test_sequences_output(capsys):
     assert lines[-1] == "(2,2,2,2,2,2,2,2,2,2)"
 
 
+def test_sequences_usage_error(capsys):
+    # the walk is lazy, so the error comes from its first step
+    code, out, err = run_cli(capsys, "sequences", "--q", "0")
+    assert code == 2 and out == ""
+    assert "q must be at least 1" in err
+
+
+def test_sequences_streams_in_bounded_memory():
+    # each sequence is printed as the walk reaches it; kept, the q = 100
+    # walk's sequences take several MB, and their total grows like q^3
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["sequences", "--q", "100"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 ** 20
+
+
 def test_construct_success(capsys):
     code, out, _ = run_cli(capsys, "construct", "--t", "3")
     g6, plan_line = out.splitlines()
@@ -70,6 +95,40 @@ def test_construct_fan_q_outside_window_names_the_interval(capsys):
     assert len(err) < 100
 
 
+@pytest.mark.parametrize("argv", [("--t", "3", "--r", "0"),
+                                  ("--t", "3", "--r", "-1"),
+                                  ("--t", "0", "--r", "2")])
+def test_construct_bad_parameters_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert code == 2 and out == ""
+    assert "needs t >= 1 and r >= 1" in err
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("construct", "--t", "3"),
+     "5512e4b52c8cce6cef8639f6a1646da39d75a3556973a47dbbb6bc58eabf3f59"),
+    (("construct", "--t", "4", "--q", "21"),
+     "a66364ec29fb96fdf3202676e0a8d3e48bf6f8686b828d57aba67a18d492933e"),
+    (("construct", "--t", "7", "--q", "50"),
+     "4aa6d1faac0c2ad1126a27af017872198c461eb5ab5270ad3c89d582ac12324a"),
+    (("construct", "--t", "11", "--q", "110"),
+     "515e82939d4c7ce3e9f4946eeab5f5a4cae9b14cfd4bcd45e8589fc64d7f0c3d"),
+    (("construct", "--t", "4", "--r", "2"),
+     "e97171cda0c1246792691609b8856ef6f3cc70342c16be92a068dd672d3ba4ac"),
+    (("construct", "--t", "6", "--r", "3"),
+     "000d00c781d2910438e89a978e66cae2100f2d2627d5d0cb1b511eb5e2af2c29"),
+    (("sequences", "--q", "17"),
+     "e1178e2fc204d233aca4814f652e85642f4716d84c59c78f70a1841d57792c51"),
+], ids=["t3", "t4-q21", "t7-q50-joint-tail", "t11-q110-contraction",
+        "t4-r2", "t6-r3", "sequences-q17"])
+def test_construction_stdout_is_pinned(capsys, argv, digest):
+    # sha256 of all of stdout: graph6, plan and verification of a build, or
+    # the whole modify walk; any change to the builder's choices moves it
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_construct_fan_success(capsys):
     code, out, _ = run_cli(capsys, "construct", "--t", "4", "--r", "2")
     g6, plan_line = out.splitlines()
@@ -77,6 +136,7 @@ def test_construct_fan_success(capsys):
     assert code == 0
     assert decode_graph6(g6).n == 96
     assert len(plan["labels"]["centers"]) == 4
+    assert plan["r"] == 2
 
 
 def test_scan_reports_preserve_order_and_survive_errors(tmp_path, capsys):

@@ -166,7 +166,7 @@ def test_sequence_for_matches_chain_for_every_feasible_target():
     for t in range(3, 7):
         c = PlanConstants(t)
         for q in range(1, 26):
-            chain = enumerate_chain(q)
+            chain = list(enumerate_chain(q))
             lo = d_min(q, c)
             for D in range(lo, d_max(q, c) + 1):
                 assert sequence_for(D, q, c) == chain[D - lo], (t, q, D)

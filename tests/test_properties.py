@@ -107,7 +107,7 @@ def test_strategy_reaches_every_case():
 @hypothesis.given(st.integers(1, 40), st.integers(1, 30), st.data())
 def test_modify_walk_steps_one_unit_from_short_to_long(q, t, data):
     c = PlanConstants(t)
-    chain = enumerate_chain(q)
+    chain = list(enumerate_chain(q))
     assert chain[0] == short_sequence(q) and chain[-1] == long_sequence(q)
     assert d_of(chain[0], c) == d_min(q, c)
     assert d_of(chain[-1], c) == d_max(q, c)
