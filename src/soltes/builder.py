@@ -4,18 +4,20 @@ Starting from a double-chain base, two trees are grown from the leaves v1
 and v2 with prescribed level sizes, then inter-level (red) and same-level
 (blue) edges complete every vertex to degree three.  The level sizes are
 chosen so the attachment's weighted distance total equals the base's
-deletion gap, which makes the far pair (or every chain center) removable
-without changing the Wiener index.  A ConstructionPlan holds one build's
-working graph from its creation on; realize_trees, place_red_edges,
-place_blue_edges and assemble run on it in that order.
+deletion gap, measured on the base by brute force, which makes every chain
+center removable without changing the Wiener index.  build_many_soltes is
+the one builder; build_two_soltes is its r = 1 case, the plain ring with its
+two centers.  A ConstructionPlan holds one build's working graph from its
+creation on; realize_trees, place_red_edges, place_blue_edges and assemble
+run on it in that order.
 """
 
 from __future__ import annotations
 
 from .core import INFINITE, Graph, _bfs_raw, _wieners, is_biconnected
-from .families import LabeledGraph, g_t, g_t_r
-from .plan import (ConstructionError, LayerSequence, PlanConstants,
-                   f_poly, feasible_q, q_range, sequence_for)
+from .families import LabeledGraph, g_t_r
+from .plan import (ConstructionError, LayerSequence, PlanConstants, d_min,
+                   feasible_q, sequence_for)
 
 
 class Infeasible(ValueError):
@@ -334,30 +336,20 @@ def _build(base, constants, L):
 
 
 def build_two_soltes(t, q=None):
-    """Cubic 2-connected graph whose two far centers are removable.
+    """Cubic 2-connected graph whose two ring centers are removable.
 
-    Removable means deleting the vertex keeps the Wiener index; both
-    centers of the base ring qualify in the returned graph.
+    Removable means deleting the vertex keeps the Wiener index.  This is
+    build_many_soltes at r = 1.
     """
-    if t < 3:
-        raise ValueError("build_two_soltes needs t >= 3")
-    lo, hi = q_range(t)
-    if q is None:
-        q = lo
-    elif not lo <= q <= hi:
-        raise ValueError(f"q outside [{lo},{hi}]")
-    base = g_t(t)
-    constants = PlanConstants(t)
-    L = sequence_for(f_poly(t), q, constants)
-    return _build(base, constants, L)
+    return build_many_soltes(t, 1, q)
 
 
 def build_many_soltes(t, r, q=None):
     """Cubic 2-connected graph where all 2^r chain centers are removable.
 
-    The deletion gap is measured on the fanned base by brute force, never
-    extrapolated from the r=1 polynomial.  Raises Infeasible naming the gap
-    and the searched interval when no attachment size fits.
+    The deletion gap is measured on the fanned base by brute force, at every
+    r.  Raises Infeasible naming the gap when no attachment size fits it,
+    and ValueError when q lies outside the sizes that do.
     """
     if t < 1 or r < 1:
         raise ValueError("build_many_soltes needs t >= 1 and r >= 1")
@@ -368,13 +360,14 @@ def build_many_soltes(t, r, q=None):
     gap = w1 - w0
     lo, hi, searched = feasible_q(gap, constants)
     if lo is None:
-        raise Infeasible(
-            f"infeasible: gap {gap} at t={t}, r={r} fits no q in [1, {searched}]")
+        where = f"infeasible: gap {gap} at t={t}, r={r}"
+        if searched == 0:
+            raise Infeasible(f"{where} is below d_min(1) = {d_min(1, constants)}")
+        raise Infeasible(f"{where} fits no q in [1, {searched}]")
     if q is None:
         q = lo
     elif not lo <= q <= hi:
-        raise Infeasible(
-            f"infeasible: gap {gap} needs q in [{lo}, {hi}], got {q}")
+        raise ValueError(f"gap {gap} needs q in [{lo}, {hi}], got {q}")
     L = sequence_for(gap, q, constants)
     return _build(base, constants, L)
 

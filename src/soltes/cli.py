@@ -6,8 +6,7 @@ import argparse
 import json
 import sys
 
-from .builder import (Infeasible, build_many_soltes, build_two_soltes,
-                      verify_construction)
+from .builder import Infeasible, build_many_soltes, verify_construction
 from .cayley import catalog_entry, load_catalog, verify_entry
 from .codec import decode_graph6, encode_graph6, write_report
 from .core import soltes_report
@@ -31,25 +30,30 @@ def _graph6_lines(path):
             stream.close()
 
 
-def _cmd_soltes(args, out):
-    for line in _graph6_lines(args.file):
+def _print_per_line(path, op, out):
+    """Print op(line) for each graph6 line, or the line's error record."""
+    for line in _graph6_lines(path):
         try:
-            record = write_report(soltes_report(decode_graph6(line)), line)
+            record = op(line)
         except ValueError as exc:
             record = json.dumps({"id": line, "error": str(exc)})
         print(record, file=out)
     return 0
 
 
+def _cmd_soltes(args, out):
+    return _print_per_line(
+        args.file,
+        lambda line: write_report(soltes_report(decode_graph6(line)), line),
+        out)
+
+
 def _cmd_construct(args, out):
-    if args.r == 1:
-        h, plan = build_two_soltes(args.t, args.q)
-    else:
-        try:
-            h, plan = build_many_soltes(args.t, args.r, args.q)
-        except Infeasible as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
+    try:
+        h, plan = build_many_soltes(args.t, args.r, args.q)
+    except Infeasible as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     report = verify_construction(h, plan)
     print(encode_graph6(h), file=out)
     print(json.dumps({**plan.to_dict(), "verification": report}), file=out)
@@ -82,12 +86,8 @@ def _cmd_sequences(args, out):
 
 def _cmd_transform(args, out):
     op = truncate if args.kind == "truncate" else line_graph
-    for line in _graph6_lines(args.file):
-        try:
-            print(encode_graph6(op(decode_graph6(line))), file=out)
-        except ValueError as exc:
-            print(json.dumps({"id": line, "error": str(exc)}), file=out)
-    return 0
+    return _print_per_line(
+        args.file, lambda line: encode_graph6(op(decode_graph6(line))), out)
 
 
 def _cmd_cayley(args, out):

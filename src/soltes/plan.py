@@ -157,8 +157,6 @@ def feasible_q(target, c: PlanConstants):
 
 def q_range(t):
     """Smallest and largest q whose [d_min, d_max] window contains f_poly(t)."""
-    if t < 3:
-        raise ValueError("q_range requires t >= 3")
     target = f_poly(t)
     lo, hi, _ = feasible_q(target, PlanConstants(t))
     if lo is None:

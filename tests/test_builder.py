@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from soltes.builder import (assemble, build_many_soltes,
+from soltes.builder import (Infeasible, assemble, build_many_soltes,
                             build_two_soltes, place_blue_edges,
                             place_red_edges, realize_trees,
                             verify_construction)
@@ -174,26 +174,30 @@ def test_verify_construction_reports_a_disconnected_build():
 
 
 def test_build_two_soltes_argument_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(Infeasible):
         build_two_soltes(2)
-    with pytest.raises(ValueError):
-        build_two_soltes(3, 8)
-    with pytest.raises(ValueError):
-        build_two_soltes(3, 10)
-
-
-def test_build_many_single_fan_matches_pair_builder():
-    h1, p1 = build_two_soltes(3)
-    h2, p2 = build_many_soltes(3, 1)
-    assert h1 == h2
-    assert p1.L == p2.L
+    # a q outside the window is bad input, not an infeasible gap
+    for q in (8, 10):
+        with pytest.raises(ValueError) as err:
+            build_two_soltes(3, q)
+        assert not isinstance(err.value, Infeasible)
 
 
 def test_build_many_infeasible_names_gap_and_interval():
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(Infeasible) as err:
         build_many_soltes(3, 2)
     msg = str(err.value)
-    assert "83" in msg and "[1, 2]" in msg
+    assert "gap 83" in msg and "[1, 2]" in msg
+
+
+@pytest.mark.parametrize("r,gap,least", [(1, -32, 14), (2, -61, 16)])
+def test_build_many_gap_below_every_q(r, gap, least):
+    # at t = 1 even q = 1 adds more than the gap: no interval was searched
+    with pytest.raises(Infeasible) as err:
+        build_many_soltes(1, r)
+    msg = str(err.value)
+    assert f"gap {gap} at t=1, r={r} is below d_min(1) = {least}" in msg
+    assert "[1, 0]" not in msg
 
 
 def test_build_many_r2():

@@ -74,24 +74,23 @@ def test_construct_success(capsys):
     assert plan["q"] == 9
 
 
-def test_construct_q_out_of_range_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "construct", "--t", "3", "--q", "8")
-    assert code == 2
-    assert "outside [9,9]" in err
-
-
-def test_construct_infeasible_fan_is_failure(capsys):
-    code, _, err = run_cli(capsys, "construct", "--t", "3", "--r", "2")
-    assert code == 1
-    assert "gap 83" in err
-
-
-def test_construct_fan_q_outside_window_names_the_interval(capsys):
+@pytest.mark.parametrize("argv,code,err_part", [
+    # a q outside the window is a usage error at every r
+    (("--t", "3", "--q", "8"), 2, "gap 268 needs q in [9, 9], got 8"),
     # feasible_q guarantees an interval, so its two ends say it all
-    code, out, err = run_cli(capsys, "construct", "--t", "20", "--r", "2",
-                             "--q", "1")
-    assert code == 1 and out == ""
-    assert "gap 116295 needs q in [283, 810], got 1" in err
+    (("--t", "20", "--r", "2", "--q", "1"), 2,
+     "gap 116295 needs q in [283, 810], got 1"),
+    # no q fits the gap, at any r
+    (("--t", "2"), 1, "gap 30 at t=2, r=1 fits no q in [1, 1]"),
+    (("--t", "3", "--r", "2"), 1, "gap 83 at t=3, r=2 fits no q in [1, 2]"),
+    (("--t", "3", "--r", "0"), 2, "needs t >= 1 and r >= 1"),
+    (("--t", "3", "--r", "-1"), 2, "needs t >= 1 and r >= 1"),
+    (("--t", "0", "--r", "2"), 2, "needs t >= 1 and r >= 1"),
+], ids=["t3-q8", "t20-r2-q1", "t2", "t3-r2", "r0", "r-1", "t0-r2"])
+def test_construct_exit_codes(capsys, argv, code, err_part):
+    got, out, err = run_cli(capsys, "construct", *argv)
+    assert got == code and out == ""
+    assert err_part in err
     assert len(err) < 100
 
 

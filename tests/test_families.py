@@ -3,9 +3,9 @@
 import pytest
 
 from soltes.core import (delete_vertex, is_connected, profile, soltes_report,
-                         wiener, _bfs_raw)
+                         wiener, _bfs_raw, _wieners)
 from soltes.families import complete, cycle, g_t, g_t_r, path, wheel
-from soltes.plan import f_poly
+from soltes.plan import PlanConstants, f_poly, feasible_q, q_range
 
 
 def test_named_small_graphs():
@@ -48,18 +48,23 @@ def test_base_shape():
 
 
 def test_base_deletion_gap_matches_polynomial():
-    for t in (1, 2, 3):
+    # the builder measures the gap; f_poly is the closed form behind qrange,
+    # so the two must give the same q window wherever one exists
+    for t in range(1, 41):
         base = g_t(t)
         g = base.graph
-        w = wiener(g)
-        gap = wiener(delete_vertex(g, base["u1"])) - w
-        assert gap == f_poly(t)
-        gap2 = wiener(delete_vertex(g, base["u2"])) - w
-        assert gap2 == f_poly(t)
+        w, w_u1, w_u2 = _wieners(g, [None, base["u1"], base["u2"]])
+        assert w_u1 - w == w_u2 - w == f_poly(t), t
+        delta = _bfs_raw(g.adj, g.n, base["v1"])[base["u1"]]
+        lo, hi, _ = feasible_q(w_u1 - w, PlanConstants(t, delta))
+        if t < 3:
+            assert lo is None, t
+        else:
+            assert (lo, hi) == q_range(t), t
 
 
 def test_base_center_distance():
-    for t in (1, 2, 3, 4):
+    for t in range(1, 41):
         base = g_t(t)
         g = base.graph
         assert _bfs_raw(g.adj, g.n, base["v1"])[base["u1"]] == 3 * t + 3
