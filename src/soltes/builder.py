@@ -16,12 +16,9 @@ from __future__ import annotations
 
 from .core import INFINITE, Graph, _bfs_raw, _wieners, is_biconnected
 from .families import LabeledGraph, g_t_r
-from .plan import (ConstructionError, LayerSequence, PlanConstants, d_min,
-                   feasible_q, sequence_for)
-
-
-class Infeasible(ValueError):
-    """No attachment size q fits the base's deletion gap (the CLI exits 1)."""
+# build_many_soltes raises Infeasible through feasible_q; it keeps this name
+from .plan import (ConstructionError, Infeasible, check_layers, feasible_q,
+                   sequence_for)
 
 
 class ConstructionPlan:
@@ -32,9 +29,10 @@ class ConstructionPlan:
     which assemble contracts into one.
     """
 
-    def __init__(self, base: LabeledGraph, constants: PlanConstants,
-                 L: LayerSequence):
-        layers = list(L.layers)
+    def __init__(self, base: LabeledGraph, t, delta, layers):
+        self.layers = check_layers(layers)
+        self.q = sum(self.layers) // 2
+        layers = list(self.layers)
         contract = layers[-1] == 1
         if contract:
             if len(layers) < 2 or layers[-2] < 3:
@@ -43,10 +41,10 @@ class ConstructionPlan:
         end = base.graph.n + sum(layers)
         v1, v2 = base["v1"], base["v2"]
         self.base = base
-        self.constants = constants
-        self.L = L
+        self.t = t
+        self.delta = delta
         self.build_layers = tuple(layers)
-        self.expected_order = base.graph.n + 2 * L.q
+        self.expected_order = base.graph.n + 2 * self.q
         self.contraction = tuple(range(end - 3, end)) if contract else None
         self.tree_parents = {}
         self.red_edges = []
@@ -64,11 +62,11 @@ class ConstructionPlan:
     def to_dict(self):
         """The plan as json.dumps takes it; r is read off the 2^r centers."""
         return {
-            "t": self.constants.t,
+            "t": self.t,
             "r": len(self.labels["centers"]).bit_length() - 1,
-            "q": self.L.q,
-            "delta": self.constants.delta,
-            "layers": self.L.layers,
+            "q": self.q,
+            "delta": self.delta,
+            "layers": self.layers,
             "order": self.expected_order,
             "tree_parents": sorted((v, *rest)
                                    for v, rest in self.tree_parents.items()),
@@ -96,15 +94,14 @@ def _add_blue(plan, a, b):
     plan.blue_edges.append((a, b))
 
 
-def realize_trees(base: LabeledGraph, constants: PlanConstants,
-                  L: LayerSequence) -> ConstructionPlan:
+def realize_trees(base: LabeledGraph, t, delta, layers) -> ConstructionPlan:
     """Grow the two level trees from v1 and v2 (phase one of three).
 
     Level counts split as ceil/floor between the trees; children go one per
     parent first, then the earliest parents take a second child, which keeps
     the per-level number of degree-3 tree vertices minimal.
     """
-    plan = ConstructionPlan(base, constants, L)
+    plan = ConstructionPlan(base, t, delta, layers)
     for i, l in enumerate(plan.build_layers, start=1):
         counts = ((l + 1) // 2, l // 2)
         row = ([], [])
@@ -327,8 +324,8 @@ def assemble(plan: ConstructionPlan) -> Graph:
     return h
 
 
-def _build(base, constants, L):
-    plan = realize_trees(base, constants, L)
+def _build(base, t, delta, layers):
+    plan = realize_trees(base, t, delta, layers)
     place_red_edges(plan)
     place_blue_edges(plan)
     h = assemble(plan)
@@ -355,21 +352,14 @@ def build_many_soltes(t, r, q=None):
         raise ValueError("build_many_soltes needs t >= 1 and r >= 1")
     base = g_t_r(t, r)
     delta = _bfs_raw(base.graph.adj, base.graph.n, base["v1"])[base["u1"]]
-    constants = PlanConstants(t, delta)
     w0, w1 = _wieners(base.graph, [None, base["u1"]])
     gap = w1 - w0
-    lo, hi, searched = feasible_q(gap, constants)
-    if lo is None:
-        where = f"infeasible: gap {gap} at t={t}, r={r}"
-        if searched == 0:
-            raise Infeasible(f"{where} is below d_min(1) = {d_min(1, constants)}")
-        raise Infeasible(f"{where} fits no q in [1, {searched}]")
+    lo, hi = feasible_q(gap, delta, t, r)
     if q is None:
         q = lo
     elif not lo <= q <= hi:
         raise ValueError(f"gap {gap} needs q in [{lo}, {hi}], got {q}")
-    L = sequence_for(gap, q, constants)
-    return _build(base, constants, L)
+    return _build(base, t, delta, sequence_for(gap, q, delta))
 
 
 def verify_construction(h: Graph, plan: ConstructionPlan) -> dict:

@@ -6,12 +6,12 @@ import argparse
 import json
 import sys
 
-from .builder import Infeasible, build_many_soltes, verify_construction
+from .builder import build_many_soltes, verify_construction
 from .cayley import catalog_entry, load_catalog, verify_entry
 from .codec import decode_graph6, encode_graph6, write_report
 from .core import soltes_report
 from .enumeration import classify_table
-from .plan import enumerate_chain, q_range
+from .plan import Infeasible, enumerate_chain, q_range
 from .transforms import line_graph, truncate
 
 
@@ -49,11 +49,7 @@ def _cmd_soltes(args, out):
 
 
 def _cmd_construct(args, out):
-    try:
-        h, plan = build_many_soltes(args.t, args.r, args.q)
-    except Infeasible as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    h, plan = build_many_soltes(args.t, args.r, args.q)
     report = verify_construction(h, plan)
     print(encode_graph6(h), file=out)
     print(json.dumps({**plan.to_dict(), "verification": report}), file=out)
@@ -79,8 +75,8 @@ def _cmd_qrange(args, out):
 
 
 def _cmd_sequences(args, out):
-    for seq in enumerate_chain(args.q):
-        print(str(seq), file=out)
+    for layers in enumerate_chain(args.q):
+        print("(" + ",".join(map(str, layers)) + ")", file=out)
     return 0
 
 
@@ -158,7 +154,8 @@ def main(argv=None):
         return args.func(args, sys.stdout)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
-        return 2
+        # no q fits the gap: the input is sound, the construction is not
+        return 1 if isinstance(exc, Infeasible) else 2
 
 
 if __name__ == "__main__":

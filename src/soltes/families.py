@@ -1,10 +1,10 @@
 """Deterministic constructors for the named graph families.
 
-The double-chain builder g_t and its tree-fanned generalization g_t_r use a
-fixed vertex numbering so the labelled special vertices are stable between
-runs: diamond k occupies 4k..4k+3 as (left tip, centre, centre, right tip),
-the fan trees follow, and the 8-vertex head gadget comes last as
-z1, z2, c1, c2, p1, p2, v1, v2.
+The double-chain base g_t_r (at r = 1 the plain ring of 2t diamonds, with
+8t + 8 vertices) uses a fixed vertex numbering so the labelled special
+vertices are stable between runs: diamond k occupies 4k..4k+3 as (left tip,
+centre, centre, right tip), the fan trees follow, and the 8-vertex head
+gadget comes last as z1, z2, c1, c2, p1, p2, v1, v2.
 """
 
 from __future__ import annotations
@@ -120,8 +120,3 @@ def g_t_r(t, r) -> LabeledGraph:
         "centers": tuple(centers),
     }
     return LabeledGraph(Graph(n, edges), labels)
-
-
-def g_t(t) -> LabeledGraph:
-    """Ring of 2t diamonds with the subdivided head gadget (8t+8 vertices)."""
-    return g_t_r(t, 1)

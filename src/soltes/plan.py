@@ -24,72 +24,33 @@ class SequenceExhausted(Exception):
     """modify() found no applicable index (the all-twos profile is terminal)."""
 
 
-class LayerSequence:
-    """Positive layer counts satisfying the growth and cap conditions.
+class Infeasible(ValueError):
+    """No attachment size q fits the deletion gap (the CLI exits 1)."""
+
+
+def check_layers(layers):
+    """layers as a tuple, once it meets the growth and cap conditions.
 
     With d = len(layers): sum is even (2q); 2 <= l_i <= 2^(i+1) for i < d;
-    1 <= l_d <= 2^(d+1); and l_{i+1} <= 2 * l_i.
+    1 <= l_d <= 2^(d+1); and l_{i+1} <= 2 * l_i.  Raises ValueError naming
+    the first condition that fails.
     """
-
-    __slots__ = ("layers", "q")
-
-    def __init__(self, layers):
-        layers = tuple(int(x) for x in layers)
-        if not layers:
-            raise ValueError("layer sequence must be non-empty")
-        total = sum(layers)
-        if total % 2:
-            raise ValueError(f"layer counts sum to odd total {total}")
-        d = len(layers)
-        for i, l in enumerate(layers, start=1):
-            lo = 1 if i == d else 2
-            if not (lo <= l <= 2 ** (i + 1)):
-                raise ValueError(
-                    f"layer {i} count {l} outside [{lo}, {2 ** (i + 1)}]")
-            if i < d and layers[i] > 2 * l:
-                raise ValueError(
-                    f"layer {i + 1} grows faster than doubling ({layers[i]} > 2*{l})")
-        self.layers = layers
-        self.q = total // 2
-
-    def __iter__(self):
-        return iter(self.layers)
-
-    def __len__(self):
-        return len(self.layers)
-
-    def __eq__(self, other):
-        if isinstance(other, LayerSequence):
-            return self.layers == other.layers
-        if isinstance(other, tuple):
-            return self.layers == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.layers)
-
-    def __repr__(self):
-        return f"LayerSequence{self.layers}"
-
-    def __str__(self):
-        return "(" + ",".join(str(x) for x in self.layers) + ")"
-
-
-class PlanConstants:
-    """Chain parameter t and the distance delta from the far pair to a leaf."""
-
-    __slots__ = ("t", "delta")
-
-    def __init__(self, t, delta=None):
-        if t < 1:
-            raise ValueError("t must be at least 1")
-        self.t = t
-        self.delta = 3 * t + 3 if delta is None else delta
-        if self.delta < 1:
-            raise ValueError("delta must be positive")
-
-    def __repr__(self):
-        return f"PlanConstants(t={self.t}, delta={self.delta})"
+    layers = tuple(int(x) for x in layers)
+    if not layers:
+        raise ValueError("layer sequence must be non-empty")
+    total = sum(layers)
+    if total % 2:
+        raise ValueError(f"layer counts sum to odd total {total}")
+    d = len(layers)
+    for i, l in enumerate(layers, start=1):
+        lo = 1 if i == d else 2
+        if not (lo <= l <= 2 ** (i + 1)):
+            raise ValueError(
+                f"layer {i} count {l} outside [{lo}, {2 ** (i + 1)}]")
+        if i < d and layers[i] > 2 * l:
+            raise ValueError(
+                f"layer {i + 1} grows faster than doubling ({layers[i]} > 2*{l})")
+    return layers
 
 
 def tree_depth(q):
@@ -106,62 +67,57 @@ def f_poly(t):
     return ((16 * t - 8) * t - 26) * t - 14
 
 
-def d_of(L: LayerSequence, c: PlanConstants):
-    return sum((c.delta + i) * l for i, l in enumerate(L.layers, start=1))
+def d_of(layers, delta):
+    return sum((delta + i) * l for i, l in enumerate(layers, start=1))
 
 
-def short_sequence(q) -> LayerSequence:
+def short_sequence(q):
     """Densest profile: full binary growth, remainder in the last layer."""
     a = tree_depth(q)
     layers = [2 ** (i + 1) for i in range(1, a - 1)]
     layers.append(2 * q - 2 ** a + 4)
-    return LayerSequence(layers)
+    return check_layers(layers)
 
 
-def long_sequence(q) -> LayerSequence:
-    """Sparsest profile: q layers of two."""
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    return LayerSequence((2,) * q)
-
-
-def d_min(q, c: PlanConstants):
+def d_min(q, delta):
     a = tree_depth(q)
-    return 2 * q * (c.delta + a - 1) - 2 ** (a + 1) + 4 * a
+    return 2 * q * (delta + a - 1) - 2 ** (a + 1) + 4 * a
 
 
-def d_max(q, c: PlanConstants):
-    return 2 * q * c.delta + q * q + q
+def d_max(q, delta):
+    return 2 * q * delta + q * q + q
 
 
-def feasible_q(target, c: PlanConstants):
-    """(lo, hi, last q tried): the ends of the q whose [d_min, d_max] window
-    holds target, or (None, None, last q tried) when none does.
+def feasible_q(gap, delta, t, r):
+    """(lo, hi): the ends of the q whose [d_min, d_max] window holds gap.
 
-    d_min grows with q, so no q past the first with d_min(q) > target fits.
+    d_min grows with q, so no q past the first with d_min(q) > gap fits.
+    Raises Infeasible naming the gap, t and r when no q does.
     """
     lo = hi = None
     q = 1
-    while d_min(q, c) <= target:
-        if target <= d_max(q, c):
+    while d_min(q, delta) <= gap:
+        if gap <= d_max(q, delta):
             # d_max grows with q too, so the hits are one interval
             if lo is None:
                 lo = q
             elif hi != q - 1:
-                raise ConstructionError(f"feasible q for target {target} are "
+                raise ConstructionError(f"feasible q for gap {gap} are "
                                         f"not an interval: {hi}, then {q}")
             hi = q
         q += 1
-    return lo, hi, q - 1
+    if lo is None:
+        where = f"infeasible: gap {gap} at t={t}, r={r}"
+        if q == 1:
+            raise Infeasible(f"{where} is below d_min(1) = {d_min(1, delta)}")
+        raise Infeasible(f"{where} fits no q in [1, {q - 1}]")
+    return lo, hi
 
 
 def q_range(t):
-    """Smallest and largest q whose [d_min, d_max] window contains f_poly(t)."""
-    target = f_poly(t)
-    lo, hi, _ = feasible_q(target, PlanConstants(t))
-    if lo is None:
-        raise ValueError(f"no q admits target {target} for t={t}")
-    return lo, hi
+    """Smallest and largest q whose [d_min, d_max] window contains f_poly(t),
+    the r = 1 gap, at its distance delta = 3t + 3."""
+    return feasible_q(f_poly(t), 3 * t + 3, t, 1)
 
 
 def _modify_step(layers, start=0):
@@ -187,15 +143,15 @@ def _modify_step(layers, start=0):
     return -1
 
 
-def modify(L: LayerSequence) -> LayerSequence:
+def modify(layers):
     """Move one unit of layer mass one level deeper (see _modify_step).
 
     Raises SequenceExhausted when no index qualifies.
     """
-    layers = list(L.layers)
+    layers = list(layers)
     if _modify_step(layers) < 0:
-        raise SequenceExhausted(str(L))
-    return LayerSequence(layers)
+        raise SequenceExhausted(str(tuple(layers)))
+    return check_layers(layers)
 
 
 def _walk(q):
@@ -204,7 +160,7 @@ def _walk(q):
     Yields one layer list, changed in place: first as the short sequence,
     then after every step.
     """
-    layers = list(short_sequence(q).layers)
+    layers = list(short_sequence(q))
     yield layers
     start = 0
     while (i := _modify_step(layers, start)) >= 0:
@@ -214,21 +170,22 @@ def _walk(q):
         yield layers
 
 
-def sequence_for(D, q, c: PlanConstants) -> LayerSequence:
+def sequence_for(D, q, delta):
     """The modify-walk sequence with weighted total exactly D."""
-    lo, hi = d_min(q, c), d_max(q, c)
+    lo, hi = d_min(q, delta), d_max(q, delta)
     if not lo <= D <= hi:
         raise ValueError(f"D={D} outside [{lo}, {hi}] for q={q}")
     for step, layers in enumerate(_walk(q)):
         if step == D - lo:
             break
-    L = LayerSequence(layers)
-    if d_of(L, c) != D:
-        raise ConstructionError(f"modify walk reached {d_of(L, c)}, not D={D}")
-    return L
+    layers = check_layers(layers)
+    if d_of(layers, delta) != D:
+        raise ConstructionError(
+            f"modify walk reached {d_of(layers, delta)}, not D={D}")
+    return layers
 
 
 def enumerate_chain(q):
     """Yield the sequences of the modify walk from short to exhaustion."""
     for layers in _walk(q):
-        yield LayerSequence(layers)
+        yield check_layers(layers)

@@ -16,9 +16,8 @@ from soltes.codec import decode_graph6, encode_graph6
 from soltes.core import (Graph, delete_vertex, is_biconnected, soltes_report,
                          wiener)
 from soltes.enumeration import classify_table
-from soltes.families import complete, cycle, g_t, wheel
-from soltes.plan import (PlanConstants, d_of, enumerate_chain, f_poly,
-                         long_sequence, q_range, short_sequence)
+from soltes.families import complete, cycle, g_t_r, wheel
+from soltes.plan import d_of, enumerate_chain, f_poly, q_range, short_sequence
 
 
 class _criterion:
@@ -77,7 +76,7 @@ def test_criterion_02_eleven_cycle_uniqueness():
 def test_criterion_03_base_family_gap_polynomial():
     with _criterion("criterion 03 deletion-gap polynomial t=1..6", 30.0):
         for t in range(1, 7):
-            base = g_t(t)
+            base = g_t_r(t, 1)
             w = wiener(base.graph)
             for center in ("u1", "u2"):
                 gap = wiener(delete_vertex(base.graph, base[center])) - w
@@ -120,10 +119,9 @@ def test_criterion_05_layer_chain_for_twenty():
     with _criterion("criterion 05 layer-sequence chain 2q=20", 1.0):
         chain = list(enumerate_chain(10))
         assert len(chain) == 67
-        assert [s.layers for s in chain[:37]] == _CHAIN_PREFIX
-        assert chain[-1].layers == (2,) * 10
-        c = PlanConstants(3)
-        span = d_of(long_sequence(10), c) - d_of(short_sequence(10), c)
+        assert chain[:37] == _CHAIN_PREFIX
+        assert chain[-1] == (2,) * 10
+        span = d_of(chain[-1], 12) - d_of(short_sequence(10), 12)
         assert span == 66
 
 

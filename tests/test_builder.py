@@ -1,5 +1,6 @@
 """Attachment pipeline: tree growth, red/blue completion, full builds."""
 
+import os
 import subprocess
 import sys
 
@@ -10,15 +11,18 @@ from soltes.builder import (Infeasible, assemble, build_many_soltes,
                             place_red_edges, realize_trees,
                             verify_construction)
 from soltes.core import (INFINITE, Graph, delete_vertex, is_biconnected,
-                         wiener)
-from soltes.families import g_t
-from soltes.plan import (ConstructionError, LayerSequence, PlanConstants,
-                         d_of, f_poly)
+                         soltes_report, wiener)
+from soltes.families import g_t_r
+from soltes.plan import ConstructionError, d_of, f_poly
+
+
+def grow(layers, t=3):
+    """realize_trees on the ring g_t_r(t, 1), at its delta = 3t + 3."""
+    return realize_trees(g_t_r(t, 1), t, 3 * t + 3, layers)
 
 
 def build_shape(layers, t=3):
-    base = g_t(t)
-    plan = realize_trees(base, PlanConstants(t), LayerSequence(layers))
+    plan = grow(layers, t)
     place_red_edges(plan)
     place_blue_edges(plan)
     return assemble(plan), plan
@@ -53,12 +57,13 @@ SHAPES = [
 def test_shape_produces_sound_graph(layers):
     h, plan = build_shape(layers)
     assert_structural(h, plan)
-    assert h.n == plan.base.graph.n + 2 * LayerSequence(layers).q
+    assert h.n == plan.base.graph.n + sum(layers)
+    assert plan.q == sum(layers) // 2
 
 
 def test_tree_split_and_growth_order():
-    base = g_t(3)
-    plan = realize_trees(base, PlanConstants(3), LayerSequence((3, 3, 5, 7)))
+    plan = grow((3, 3, 5, 7))
+    base = plan.base
     n0 = base.graph.n
     # level one: two vertices to the first tree, one to the second
     assert plan.levels[1] == ([n0, n0 + 1], [n0 + 2])
@@ -71,10 +76,13 @@ def test_tree_split_and_growth_order():
 
 
 def test_tree_rejects_overfull_layer():
-    base = g_t(3)
-    # 2 -> 6 needs three children under one parent in the larger tree
-    with pytest.raises(ValueError):
-        realize_trees(base, PlanConstants(3), LayerSequence((2, 6, 6)))
+    # 2 -> 6 grows faster than doubling: three children under one parent
+    # in the larger tree
+    with pytest.raises(ValueError, match="faster than doubling"):
+        grow((2, 6, 6))
+    # the plan checks every layer condition where the sequence enters
+    with pytest.raises(ValueError, match="odd total"):
+        grow((3, 3, 5))
 
 
 def test_red_edges_follow_parity_rule():
@@ -84,8 +92,7 @@ def test_red_edges_follow_parity_rule():
         ((2, 3, 5, 6, 4), [(1, 2)]),
         ((2, 2, 3, 4, 5, 4), [(2, 3), (3, 4)]),
     ]:
-        base = g_t(3)
-        plan = realize_trees(base, PlanConstants(3), LayerSequence(layers))
+        plan = grow(layers)
         place_red_edges(plan)
         got = []
         for x, y in plan.red_edges:
@@ -118,8 +125,7 @@ def test_blue_edges_stay_within_a_level():
 
 def test_leaf_counts_balanced_between_trees():
     for layers in SHAPES:
-        base = g_t(3)
-        plan = realize_trees(base, PlanConstants(3), LayerSequence(layers))
+        plan = grow(layers)
         for i in range(1, len(plan.levels) - 1):
             t1, t2 = plan.levels[i]
             l1 = sum(1 for v in t1 if plan._children[v] == 0)
@@ -138,8 +144,7 @@ def test_contraction_case_bookkeeping():
 
 def test_exact_target_shape_gives_soltes_pair():
     # this shape reaches the deletion gap of the t=3 base exactly
-    c = PlanConstants(3)
-    assert d_of(LayerSequence((2, 4, 6, 6)), c) == f_poly(3)
+    assert d_of((2, 4, 6, 6), 12) == f_poly(3)
     h, plan = build_shape((2, 4, 6, 6))
     rep = assert_structural(h, plan)
     assert rep["wiener_gap"] == 0
@@ -150,12 +155,12 @@ def test_exact_target_shape_gives_soltes_pair():
 
 def test_build_two_soltes_default_and_explicit_q():
     h, plan = build_two_soltes(3)
-    assert plan.L.q == 9
+    assert plan.q == 9
     rep = verify_construction(h, plan)
     assert rep["ok"] and rep["wiener_gap"] == 0
     assert h.n == 8 * 3 + 8 + 2 * 9
     h2, plan2 = build_two_soltes(4, 19)
-    assert plan2.L.q == 19
+    assert plan2.q == 19
     assert verify_construction(h2, plan2)["ok"]
 
 
@@ -213,6 +218,56 @@ def test_build_many_r2():
     assert is_biconnected(h)
 
 
+def _workload_build(r, t, q, n):
+    marks = ()
+    if n > 304:
+        marks = pytest.mark.skipif(not os.environ.get("SOLTES_EXTENDED"),
+                                   reason="about 8 s of scans for the ten "
+                                          "largest; set SOLTES_EXTENDED=1")
+    return pytest.param(r, t, q, n, marks=marks, id=f"r{r}-t{t}-q{q}")
+
+
+# (r, t, q, order) of the 27 construct workload builds: r = 1 at both ends
+# of q_range(t), and r = 2 and 3 at the smallest q (the CLI default), as in
+# perfbench/workloads.py CONSTRUCT.
+WORKLOAD_BUILDS = [_workload_build(*row) for row in [
+    (1, 3, 9, 50), (1, 4, 17, 74), (1, 5, 27, 102), (1, 6, 38, 132),
+    (1, 7, 50, 164), (1, 8, 64, 200), (1, 9, 78, 236), (1, 10, 94, 276),
+    (1, 11, 110, 316), (1, 12, 128, 360),
+    (1, 4, 21, 82), (1, 5, 38, 124), (1, 6, 59, 174), (1, 7, 85, 234),
+    (1, 8, 116, 304), (1, 9, 152, 384), (1, 10, 192, 472), (1, 11, 238, 572),
+    (2, 4, 11, 96), (2, 6, 31, 168), (2, 8, 56, 250), (2, 10, 85, 340),
+    (2, 12, 118, 438),
+    (3, 6, 6, 218), (3, 8, 30, 330), (3, 10, 58, 450), (3, 12, 90, 578),
+]]
+
+
+@pytest.mark.parametrize("r,t,q,n", WORKLOAD_BUILDS)
+def test_workload_build_soltes_set_is_pinned(r, t, q, n):
+    # The paper promises at least 2^r removable vertices.  Each build has
+    # exactly its 2^r centers, except t = 5 at q = 27, where vertex 57, a
+    # level-5 vertex of the v2 tree, is removable too.
+    h, plan = build_many_soltes(t, r, None if r > 1 else q)
+    assert (h.n, plan.q) == (n, q)
+    extra = ()
+    if (r, t, q) == (1, 5, 27):
+        extra = (57,)
+        assert plan.tree_parents[57][1:] == (5, 2)
+    want = tuple(sorted(plan.labels["centers"] + extra))
+    assert soltes_report(h).soltes_set == want
+    if n <= 150:
+        nx = pytest.importorskip("networkx")
+        g = nx.Graph(h.edges())
+        w = nx.wiener_index(g)
+        found = []
+        for v in range(n):
+            gv = g.copy()
+            gv.remove_node(v)
+            if nx.wiener_index(gv) == w:
+                found.append(v)
+        assert tuple(found) == want
+
+
 def test_plan_serialization_roundtrips_json():
     import json
 
@@ -231,9 +286,8 @@ def test_plan_serialization_roundtrips_json():
 # Doubles the first tree edge of a fresh plan.
 PLANT_PARALLEL_EDGE = """
 from soltes.builder import _add_edge, realize_trees
-from soltes.families import g_t
-from soltes.plan import LayerSequence, PlanConstants
-plan = realize_trees(g_t(3), PlanConstants(3), LayerSequence((3, 3)))
+from soltes.families import g_t_r
+plan = realize_trees(g_t_r(3, 1), 3, 12, (3, 3))
 child, (parent, _, _) = next(iter(plan.tree_parents.items()))
 _add_edge(plan, parent, child)
 """

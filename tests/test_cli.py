@@ -30,8 +30,16 @@ def test_qrange_output(capsys):
 
 
 def test_qrange_usage_error(capsys):
-    code, _, err = run_cli(capsys, "qrange", "--t", "2")
-    assert code == 2 and err.strip()
+    code, out, err = run_cli(capsys, "qrange", "--t", "0")
+    assert code == 2 and out == ""
+    assert "t must be at least 1" in err
+    # no q fits the gap: exit 1 with construct's message, not a usage error
+    for t, message in [("1", "gap -32 at t=1, r=1 is below d_min(1) = 14"),
+                       ("2", "gap 30 at t=2, r=1 fits no q in [1, 1]")]:
+        code, out, err = run_cli(capsys, "qrange", "--t", t)
+        assert code == 1 and out == ""
+        assert err == f"infeasible: {message}\n"
+        assert run_cli(capsys, "construct", "--t", t)[::2] == (code, err)
 
 
 def test_sequences_output(capsys):
@@ -92,15 +100,6 @@ def test_construct_exit_codes(capsys, argv, code, err_part):
     assert got == code and out == ""
     assert err_part in err
     assert len(err) < 100
-
-
-@pytest.mark.parametrize("argv", [("--t", "3", "--r", "0"),
-                                  ("--t", "3", "--r", "-1"),
-                                  ("--t", "0", "--r", "2")])
-def test_construct_bad_parameters_are_usage_errors(capsys, argv):
-    code, out, err = run_cli(capsys, "construct", *argv)
-    assert code == 2 and out == ""
-    assert "needs t >= 1 and r >= 1" in err
 
 
 @pytest.mark.parametrize("argv,digest", [

@@ -4,8 +4,8 @@ import pytest
 
 from soltes.core import (delete_vertex, is_connected, profile, soltes_report,
                          wiener, _bfs_raw, _wieners)
-from soltes.families import complete, cycle, g_t, g_t_r, path, wheel
-from soltes.plan import PlanConstants, f_poly, feasible_q, q_range
+from soltes.families import complete, cycle, g_t_r, path, wheel
+from soltes.plan import Infeasible, f_poly, feasible_q, q_range
 
 
 def test_named_small_graphs():
@@ -34,7 +34,7 @@ def test_wheel_hub_effects():
 
 def test_base_shape():
     for t in (1, 2, 3):
-        base = g_t(t)
+        base = g_t_r(t, 1)
         g = base.graph
         assert g.n == 8 * t + 8
         degs = sorted(g.degree(v) for v in range(g.n))
@@ -51,21 +51,21 @@ def test_base_deletion_gap_matches_polynomial():
     # the builder measures the gap; f_poly is the closed form behind qrange,
     # so the two must give the same q window wherever one exists
     for t in range(1, 41):
-        base = g_t(t)
+        base = g_t_r(t, 1)
         g = base.graph
         w, w_u1, w_u2 = _wieners(g, [None, base["u1"], base["u2"]])
         assert w_u1 - w == w_u2 - w == f_poly(t), t
         delta = _bfs_raw(g.adj, g.n, base["v1"])[base["u1"]]
-        lo, hi, _ = feasible_q(w_u1 - w, PlanConstants(t, delta))
         if t < 3:
-            assert lo is None, t
+            with pytest.raises(Infeasible):
+                feasible_q(w_u1 - w, delta, t, 1)
         else:
-            assert (lo, hi) == q_range(t), t
+            assert feasible_q(w_u1 - w, delta, t, 1) == q_range(t), t
 
 
 def test_base_center_distance():
     for t in range(1, 41):
-        base = g_t(t)
+        base = g_t_r(t, 1)
         g = base.graph
         assert _bfs_raw(g.adj, g.n, base["v1"])[base["u1"]] == 3 * t + 3
         assert _bfs_raw(g.adj, g.n, base["v2"])[base["u2"]] == 3 * t + 3
@@ -94,16 +94,18 @@ def test_fanned_base_centers_interchangeable():
 
 
 def test_single_chain_fan_agrees_with_base():
-    a = g_t(2)
+    # at r = 1 there are no fan trees: the chain's ends hang off z1 and z2
     b = g_t_r(2, 1)
-    assert a.graph == b.graph
-    assert a["u1"] == b["u1"] and a["v1"] == b["v1"]
+    assert b.graph.n == 8 * 2 + 8
+    assert len(b["centers"]) == 2
+    assert b["z1"] in b.graph.adj[0]
+    assert b["z2"] in b.graph.adj[4 * (2 * 2 - 1) + 3]
 
 
 def test_family_constructors_reject_bad_sizes():
     with pytest.raises(ValueError):
         cycle(2)
     with pytest.raises(ValueError):
-        g_t(0)
+        g_t_r(0, 1)
     with pytest.raises(ValueError):
         g_t_r(2, 0)

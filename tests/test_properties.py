@@ -10,9 +10,9 @@ import pytest
 
 from soltes.core import (INFINITE, Graph, _bfs_raw, _wieners, delete_vertex,
                          soltes_report, wiener)
-from soltes.plan import (LayerSequence, PlanConstants, SequenceExhausted,
-                         d_max, d_min, d_of, enumerate_chain, long_sequence,
-                         modify, sequence_for, short_sequence)
+from soltes.plan import (SequenceExhausted, check_layers, d_max, d_min, d_of,
+                         enumerate_chain, modify, sequence_for,
+                         short_sequence)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -106,18 +106,18 @@ def test_strategy_reaches_every_case():
 @SETTINGS
 @hypothesis.given(st.integers(1, 40), st.integers(1, 30), st.data())
 def test_modify_walk_steps_one_unit_from_short_to_long(q, t, data):
-    c = PlanConstants(t)
+    delta = 3 * t + 3
     chain = list(enumerate_chain(q))
-    assert chain[0] == short_sequence(q) and chain[-1] == long_sequence(q)
-    assert d_of(chain[0], c) == d_min(q, c)
-    assert d_of(chain[-1], c) == d_max(q, c)
+    assert chain[0] == short_sequence(q) and chain[-1] == (2,) * q
+    assert d_of(chain[0], delta) == d_min(q, delta)
+    assert d_of(chain[-1], delta) == d_max(q, delta)
     for a, b in zip(chain, chain[1:]):
         step = modify(a)
         assert step == b
-        # the constructor re-checks every layer condition
-        assert LayerSequence(step.layers).q == q
-        assert d_of(step, c) == d_of(a, c) + 1
+        # re-check every layer condition, and the total 2q
+        assert check_layers(step) == step and sum(step) == 2 * q
+        assert d_of(step, delta) == d_of(a, delta) + 1
     with pytest.raises(SequenceExhausted):
         modify(chain[-1])
-    D = data.draw(st.integers(d_min(q, c), d_max(q, c)), label="D")
-    assert sequence_for(D, q, c) == chain[D - d_min(q, c)]
+    D = data.draw(st.integers(d_min(q, delta), d_max(q, delta)), label="D")
+    assert sequence_for(D, q, delta) == chain[D - d_min(q, delta)]
