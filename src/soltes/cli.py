@@ -59,7 +59,8 @@ def _cmd_construct(args, out):
 def _cmd_tables(args, out):
     row = classify_table(args.n, args.r)
     if args.format == "csv":
-        width = 8 if args.r == 3 else 4
+        # the fixed columns, widened to any larger removable count
+        width = max([8 if args.r == 3 else 4, *row.counts])
         cells = [str(row.total)] + [str(row.counts.get(k, 0))
                                     for k in range(1, width + 1)]
         print(",".join(cells), file=out)

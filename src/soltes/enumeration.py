@@ -41,19 +41,25 @@ level is final once its neighbours 1..r are saturated, vertex 1's once
 its neighbours are; from there each is passed down, not recomputed.
 
 The surviving leaves reach _ClassStore, which buckets on the sorted keys
-and runs the package's one isomorphism test (_isomorphic) against each
-stored representative, so every class of connected r-regular graphs on n
-vertices surfaces exactly once.  Most of those tests fail between
-different classes of one bucket, so once a bucket holds two
-representatives each gets its automorphism orbits, found by the same
-search run from the graph onto itself with one vertex and its intended
-image individualized (_orbits), and a test then tries one start image per
-orbit (B. McKay & A. Piperno, "Practical graph isomorphism, II",
-J. Symbolic Comput. 60, 2014).  Classification then counts, per class,
-how many vertices leave the Wiener index unchanged when deleted.
+and runs the package's one isomorphism test (_isomorphic) against stored
+representatives, so every class of connected r-regular graphs on n
+vertices surfaces exactly once.  Once a bucket holds two representatives,
+most tests there would fail, between different classes, so a second
+invariant comes first: the sorted per-vertex closed-walk counts of
+lengths 3..8 (_walk_signature), and the search runs only against
+representatives with an equal one.  Each of those gets its automorphism
+orbits, found by the same search run from the graph onto itself with one
+vertex and its intended image individualized (_orbits), and a test then
+tries one start image per orbit.  Both ideas, a cheap invariant before
+the search and automorphisms that prune it, are from B. McKay &
+A. Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
+2014.  Classification then counts, per class, how many vertices leave the
+Wiener index unchanged when deleted.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .core import Graph, _find, _join, soltes_report
 
@@ -255,14 +261,43 @@ def _orbits(n, masks, keys):
     return [_find(parent, v) for v in range(n)]
 
 
+def _walk_signature(n, masks):
+    """Sorted per-vertex closed-walk counts: the tuples (A^k)_vv, k = 3..8.
+
+    A relabelling permutes the vertices and so only reorders the tuples:
+    the sorted list is an isomorphism invariant.  A is unpacked from the
+    masks bytewise, so any n fits.  The counts are uint64 sums, which wrap
+    modulo 2^64 by definition; a walk of length 8 between two given
+    vertices has at most Δ^7 choices, so they are exact integers while
+    every degree Δ is at most 565, and an invariant at any degree.
+    """
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
+                         np.uint8).reshape(n, width)
+    a = np.unpackbits(rows, axis=1, count=n,
+                      bitorder="little").astype(np.uint64)
+    walks = a @ a
+    counts = []
+    for _ in range(6):
+        walks = walks @ a
+        counts.append(walks.diagonal().tolist())
+    return sorted(zip(*counts))
+
+
 class _ClassStore:
     """The classes seen so far, one adjacency-mask representative each.
 
     Representatives are bucketed on their sorted _mask_keys, so a new graph
     runs _isomorphic only against the same-bucket representatives.  Once a
-    bucket holds two, tests between different classes dominate; each of its
-    representatives then gets its automorphism orbits (_orbits) once, and
-    every later test against it tries one start image per orbit.
+    bucket holds two, most of those tests would fail, between different
+    classes.  The new graph and each representative then get their
+    _walk_signature (a representative's once, when first needed), and a
+    representative with a different one is skipped untested: isomorphic
+    graphs have equal signatures, so it cannot be the new graph's class.
+    Each representative left gets its automorphism orbits (_orbits) once,
+    and every later test against it tries one start image per orbit.
+    An entry is [masks, keys, orbits, signature], the last two None until
+    computed.
     """
 
     __slots__ = ("n", "buckets", "intern")
@@ -281,17 +316,23 @@ class _ClassStore:
         keys = _mask_keys(raw, self.intern)
         bucket = self.buckets.setdefault(tuple(sorted(keys)), [])
         pruned = len(bucket) > 1
+        sig = _walk_signature(n, masks) if pruned else None
         for i, held in enumerate(bucket):
-            held_masks, held_keys, orbits = held
-            if pruned and orbits is None:
-                orbits = held[2] = _orbits(n, held_masks, held_keys)
+            held_masks, held_keys, orbits, held_sig = held
+            if pruned:
+                if held_sig is None:
+                    held_sig = held[3] = _walk_signature(n, held_masks)
+                if held_sig != sig:
+                    continue
+                if orbits is None:
+                    orbits = held[2] = _orbits(n, held_masks, held_keys)
             if _isomorphic(n, masks, keys, held_masks, held_keys, orbits):
                 if i:
                     # duplicates arrive in runs; keep the hot
                     # representative in front
                     bucket.insert(0, bucket.pop(i))
                 return False
-        bucket.append([masks.copy(), keys, None])
+        bucket.append([masks.copy(), keys, None, sig])
         return True
 
 

@@ -186,6 +186,24 @@ def test_tables_csv_and_text(capsys):
     assert code == 0 and "total=2" in out
 
 
+@pytest.mark.parametrize("r,counts,line", [
+    (3, {2: 3, 1: 4}, "509,4,3,0,0,0,0,0,0"),
+    (3, {1: 2, 10: 1}, "509,2,0,0,0,0,0,0,0,0,1"),
+    (4, {6: 1}, "509,0,0,0,0,0,1"),
+])
+def test_tables_csv_widens_to_the_largest_count(monkeypatch, capsys, r,
+                                                counts, line):
+    # a class with more removable vertices than the fixed columns still
+    # gets its cell; the fixed width is kept below it
+    import soltes.cli as cli
+    from soltes.enumeration import TableRow
+    monkeypatch.setattr(cli, "classify_table",
+                        lambda n, r: TableRow(n, r, 509, counts))
+    code, out, _ = run_cli(capsys, "tables", "--n", "14", "--r", str(r),
+                           "--format", "csv")
+    assert code == 0 and out == line + "\n"
+
+
 def test_transform_roundtrip(tmp_path, capsys):
     src = tmp_path / "in.g6"
     src.write_text(encode_graph6(complete(4)) + "\n" +

@@ -9,7 +9,8 @@ import pytest
 
 from soltes.core import Graph, _bfs_raw, is_connected, profile
 from soltes.enumeration import (TableRow, _ClassStore, _orbits, _raw_key,
-                                _root_min_keys, classify_table, gen_regular)
+                                _root_min_keys, _walk_signature,
+                                classify_table, gen_regular)
 from soltes.families import complete
 
 
@@ -34,6 +35,22 @@ def vertex_key(g, v):
     levels = tuple(dist.count(d) for d in range(1, max(dist) + 1))
     shared = sorted(len(set(g.adj[v]) & set(g.adj[u])) for u in range(g.n))
     return levels, tuple(shared)
+
+
+def closed_walks(g, v):
+    """(A^k)_vv for k = 3..8, counted on g.adj with Python ints."""
+    walks = [0] * g.n
+    walks[v] = 1
+    counts = []
+    for k in range(1, 9):
+        walks = [sum(walks[u] for u in g.adj[w]) for w in range(g.n)]
+        if k >= 3:
+            counts.append(walks[v])
+    return tuple(counts)
+
+
+def walk_signature(g):
+    return sorted(closed_walks(g, v) for v in range(g.n))
 
 
 def store_add(store, g):
@@ -169,10 +186,11 @@ def test_store_keeps_a_labelling_whose_vertex_0_is_not_minimal():
     assert not store_add(store, g)
 
 
-@pytest.mark.parametrize("n,r,leaves,stored",
-                         [(12, 3, 437, 280), (10, 4, 1215, 256)],
+@pytest.mark.parametrize("n,r,leaves,stored,searches",
+                         [(12, 3, 437, 280, 389), (10, 4, 1215, 256, 198)],
                          ids=["cubic-12", "quartic-10"])
-def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored):
+def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored,
+                                searches):
     # Leaves that reach the root-key filter, and those that pass it into
     # the class store.  A weaker second-level cut in the recursion (on
     # vertex 0 or on vertex 1) raises the first count, a weaker filter on
@@ -181,8 +199,12 @@ def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored):
     # nor the vertex-1 filter, cubic n=12 had 1,201 and 513, quartic n=10
     # 1,692 and 524; with no cut or filter at all, all 2,999 leaves of
     # cubic n=12 reached the store.
+    # The third count is the store's _isomorphic calls, orbit searches
+    # included.  Without the walk-signature filter in shared buckets,
+    # cubic n=12 made 494, 261 of them failing; quartic n=10's buckets
+    # are nearly pure, so the filter leaves its 198 as they were.
     import soltes.enumeration as enumeration
-    calls = {"filter": 0, "store": 0}
+    calls = {"filter": 0, "store": 0, "search": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -194,21 +216,24 @@ def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored):
                         counted("filter", enumeration._root_min_keys))
     monkeypatch.setattr(enumeration, "_mask_keys",
                         counted("store", enumeration._mask_keys))
+    monkeypatch.setattr(enumeration, "_isomorphic",
+                        counted("search", enumeration._isomorphic))
     list(gen_regular(n, r))
-    assert calls == {"filter": leaves, "store": stored}
+    assert calls == {"filter": leaves, "store": stored, "search": searches}
 
 
-@pytest.mark.parametrize("n,r,digest", [
-    (12, 3, "211db64c384d12833e4f78ce31b85c6b"
-            "75301c0f94d724c501b4a4a0e055ed53"),
-    (10, 4, "d2157b018377864bfaed563fcf059c95"
-            "e5e67c8e40fad76ce30d03f4a1e0dbce"),
-], ids=["cubic-12", "quartic-10"])
-def test_store_add_sequence_is_pinned(monkeypatch, n, r, digest):
-    # sha256 over repr((masks, raw)) of every leaf that reaches the class
-    # store, in order.  A cut may drop only leaves that the root-key filter
-    # would drop, so a faster search keeps this sequence; a change to the
-    # search order or to the leaves that pass moves it.
+# sha256 over repr((masks, raw)) of every leaf that reaches the class
+# store, in order
+STORE_ADD_DIGESTS = {
+    (12, 3): "211db64c384d12833e4f78ce31b85c6b"
+             "75301c0f94d724c501b4a4a0e055ed53",
+    (10, 4): "d2157b018377864bfaed563fcf059c95"
+             "e5e67c8e40fad76ce30d03f4a1e0dbce",
+}
+
+
+def hashed_run(monkeypatch, n, r):
+    """gen_regular(n, r)'s classes and the sha256 of its store adds."""
     add = _ClassStore.add
     h = hashlib.sha256()
 
@@ -217,8 +242,17 @@ def test_store_add_sequence_is_pinned(monkeypatch, n, r, digest):
         return add(self, masks, raw)
 
     monkeypatch.setattr(_ClassStore, "add", hashed)
-    list(gen_regular(n, r))
-    assert h.hexdigest() == digest
+    return list(gen_regular(n, r)), h.hexdigest()
+
+
+@pytest.mark.parametrize("n,r", [(12, 3), (10, 4)],
+                         ids=["cubic-12", "quartic-10"])
+def test_store_add_sequence_is_pinned(monkeypatch, n, r):
+    # A cut may drop only leaves that the root-key filter would drop, so a
+    # faster search keeps this sequence; a change to the search order or
+    # to the leaves that pass moves it.
+    _, digest = hashed_run(monkeypatch, n, r)
+    assert digest == STORE_ADD_DIGESTS[n, r]
 
 
 def test_filter_drops_a_labelling_whose_vertex_1_is_not_minimal():
@@ -257,6 +291,57 @@ def test_orbits_match_brute_force():
         split += any(raw[u] == raw[v] and want[u] != want[v]
                      for u in range(g.n) for v in range(u))
     assert split
+
+
+def test_walk_signature_is_a_relabelling_invariant():
+    rook, shrikhande = rook_and_shrikhande()
+    graphs = [prism(), k33(), petersen(), rook, shrikhande]
+    graphs += [g for n in (4, 6, 8, 10, 12) for g in gen_regular(n, 3)]
+    assert len(graphs) == 117
+    rng = random.Random(17)
+    for g in graphs:
+        sig = _walk_signature(g.n, masks_of(g))
+        assert sig == walk_signature(g)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert _walk_signature(g.n, masks_of(relabel(g, perm))) == sig
+    # triangles split the prism from K_{3,3}; the rook's graph and the
+    # Shrikhande graph are cospectral and walk-regular, so only the search
+    # splits them
+    assert walk_signature(prism()) != walk_signature(k33())
+    assert walk_signature(rook) == walk_signature(shrikhande)
+
+
+def test_walk_signature_counts_are_exact_past_64_vertices():
+    # masks past bit 63 overflow an int64; the counts pass 2^32 on
+    # G(80, 1/2) and 2^53, where a float would round, on K_200
+    rng = random.Random(80)
+    g = Graph(80, [(u, v) for u in range(80) for v in range(u + 1, 80)
+                   if rng.random() < 0.5])
+    sig = _walk_signature(80, masks_of(g))
+    assert sig == walk_signature(g) and sig[-1][-1] > 2 ** 32
+    per_vertex = tuple((199 ** k + 199 * (-1) ** k) // 200
+                       for k in range(3, 9))
+    assert _walk_signature(200, masks_of(complete(200))) == [per_vertex] * 200
+    assert per_vertex[-1] > 2 ** 53
+
+
+@pytest.mark.parametrize("n,r,classes", [(12, 3, 85), (10, 4, 59)],
+                         ids=["cubic-12", "quartic-10"])
+def test_store_without_the_signature_filter(monkeypatch, n, r, classes):
+    # A constant signature sends every representative of a shared bucket
+    # to the search: the same leaves reach the store, and the search alone
+    # keeps the classes apart.
+    import soltes.enumeration as enumeration
+    monkeypatch.setattr(enumeration, "_walk_signature", lambda n, masks: ())
+    graphs, digest = hashed_run(monkeypatch, n, r)
+    assert len(graphs) == classes
+    assert digest == STORE_ADD_DIGESTS[n, r]
+    # pairwise non-isomorphic: invariants computed here differ on each pair
+    invariants = {repr((sorted(vertex_key(g, v) for v in range(n)),
+                        walk_signature(g))) for g in graphs}
+    assert len(invariants) == classes
 
 
 def test_store_rejects_relabellings_in_mixed_buckets():
