@@ -47,21 +47,17 @@ vertices surfaces exactly once.  Once a bucket holds two representatives,
 most tests there would fail, between different classes, so a second
 invariant comes first: the sorted per-vertex closed-walk counts of
 lengths 3..8 (_walk_signature), and the search runs only against
-representatives with an equal one.  Each of those gets its automorphism
-orbits, found by the same search run from the graph onto itself with one
-vertex and its intended image individualized (_orbits), and a test then
-tries one start image per orbit.  Both ideas, a cheap invariant before
-the search and automorphisms that prune it, are from B. McKay &
-A. Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
-2014.  Classification then counts, per class, how many vertices leave the
-Wiener index unchanged when deleted.
+representatives with an equal one.  The idea, a cheap invariant before
+the search, is from B. McKay & A. Piperno, "Practical graph isomorphism,
+II", J. Symbolic Comput. 60, 2014.  Classification then counts, per
+class, how many vertices leave the Wiener index unchanged when deleted.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Graph, _find, _join, soltes_report
+from .core import Graph, soltes_report
 
 _SCALE_CAPS = {3: 16, 4: 13}
 
@@ -161,7 +157,7 @@ def _mask_keys(raw, intern):
     return keys
 
 
-def _isomorphic(n, a1, keys1, a2, keys2, orbits=None):
+def _isomorphic(n, a1, keys1, a2, keys2):
     """An adjacency-preserving bijection from a1 onto a2, or None.
 
     a1/a2 are neighbour bitmasks, keys per-vertex invariants; a vertex may
@@ -169,20 +165,13 @@ def _isomorphic(n, a1, keys1, a2, keys2, orbits=None):
     breadth-first order from a start vertex, and one bitmask comparison per
     candidate checks consistency with everything mapped so far.  The
     bijection comes back as an image list (vertex v of a1 goes to image[v]).
-
-    The start is the vertex of a1 with the fewest candidates.  orbits, when
-    given, names each vertex of a2's automorphism orbit by its smallest
-    member (_orbits); the start then tries only those members as images,
-    since composing with an automorphism of a2 moves the start's image
-    anywhere in its orbit.
+    The start is the vertex of a1 with the fewest candidates.
     """
     by_key = {}
     for u, k in enumerate(keys2):
         by_key.setdefault(k, []).append(u)
     cand = [by_key.get(k, ()) for k in keys1]
     start = min(range(n), key=lambda v: len(cand[v]))
-    if orbits is not None:
-        cand[start] = [u for u in cand[start] if orbits[u] == u]
     order = [start]
     reached = 1 << start
     k = 0
@@ -226,41 +215,6 @@ def _isomorphic(n, a1, keys1, a2, keys2, orbits=None):
     return image if found else None
 
 
-def _orbits(n, masks, keys):
-    """Each vertex's automorphism orbit, named by the orbit's smallest vertex.
-
-    Vertices are joined by core's union-find (_find, _join) over the
-    automorphisms that _isomorphic finds from the graph onto itself.  The smallest vertex x of
-    each part tries every later vertex u with x's key that is not yet in
-    its part and not in a part already refuted from x.  The search gets x
-    and u individualized, with one new key that only they carry, so it
-    either finds an automorphism sending x to u, which joins every vertex
-    to its image, or shows that u lies in another orbit.
-    """
-    parent = list(range(n))
-    mark = object()
-    for x in range(n):
-        if parent[x] != x:
-            continue  # settled together with its part's smaller root
-        refuted = set()
-        for u in range(x + 1, n):
-            if keys[u] != keys[x]:
-                continue
-            ru = _find(parent, u)
-            if ru == x or ru in refuted:
-                continue
-            keys_x = list(keys)
-            keys_x[x] = mark
-            keys_u = list(keys)
-            keys_u[u] = mark
-            image = _isomorphic(n, masks, keys_x, masks, keys_u)
-            if image is None:
-                refuted.add(ru)
-            else:
-                _join(parent, image)
-    return [_find(parent, v) for v in range(n)]
-
-
 def _walk_signature(n, masks):
     """Sorted per-vertex closed-walk counts: the tuples (A^k)_vv, k = 3..8.
 
@@ -294,10 +248,7 @@ class _ClassStore:
     _walk_signature (a representative's once, when first needed), and a
     representative with a different one is skipped untested: isomorphic
     graphs have equal signatures, so it cannot be the new graph's class.
-    Each representative left gets its automorphism orbits (_orbits) once,
-    and every later test against it tries one start image per orbit.
-    An entry is [masks, keys, orbits, signature], the last two None until
-    computed.
+    An entry is [masks, keys, signature], the last None until computed.
     """
 
     __slots__ = ("n", "buckets", "intern")
@@ -315,29 +266,24 @@ class _ClassStore:
         n = self.n
         keys = _mask_keys(raw, self.intern)
         bucket = self.buckets.setdefault(tuple(sorted(keys)), [])
-        pruned = len(bucket) > 1
-        sig = _walk_signature(n, masks) if pruned else None
-        for i, held in enumerate(bucket):
-            held_masks, held_keys, orbits, held_sig = held
-            if pruned:
+        sig = _walk_signature(n, masks) if len(bucket) > 1 else None
+        for held in bucket:
+            held_masks, held_keys, held_sig = held
+            if sig is not None:
                 if held_sig is None:
-                    held_sig = held[3] = _walk_signature(n, held_masks)
+                    held_sig = held[2] = _walk_signature(n, held_masks)
                 if held_sig != sig:
                     continue
-                if orbits is None:
-                    orbits = held[2] = _orbits(n, held_masks, held_keys)
-            if _isomorphic(n, masks, keys, held_masks, held_keys, orbits):
-                if i:
-                    # duplicates arrive in runs; keep the hot
-                    # representative in front
-                    bucket.insert(0, bucket.pop(i))
+            if _isomorphic(n, masks, keys, held_masks, held_keys):
                 return False
-        bucket.append([masks.copy(), keys, None, sig])
+        bucket.append([masks.copy(), keys, sig])
         return True
 
 
 def gen_regular(n, r):
     """Yield one representative per class of connected r-regular graphs."""
+    if r < 0:
+        raise ValueError(f"degree r={r} is negative")
     if n <= r:
         raise ValueError("need n > r")
     if (n * r) % 2:

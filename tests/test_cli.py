@@ -186,6 +186,12 @@ def test_tables_csv_and_text(capsys):
     assert code == 0 and "total=2" in out
 
 
+def test_tables_negative_degree_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "tables", "--n", "4", "--r", "-2")
+    assert code == 2 and out == ""
+    assert "negative" in err
+
+
 @pytest.mark.parametrize("r,counts,line", [
     (3, {2: 3, 1: 4}, "509,4,3,0,0,0,0,0,0"),
     (3, {1: 2, 10: 1}, "509,2,0,0,0,0,0,0,0,0,1"),

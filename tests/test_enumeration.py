@@ -8,7 +8,7 @@ import random
 import pytest
 
 from soltes.core import Graph, _bfs_raw, is_connected, profile
-from soltes.enumeration import (TableRow, _ClassStore, _orbits, _raw_key,
+from soltes.enumeration import (TableRow, _ClassStore, _raw_key,
                                 _root_min_keys, _walk_signature,
                                 classify_table, gen_regular)
 from soltes.families import complete
@@ -88,30 +88,6 @@ def rook_and_shrikhande():
     return rook, shrikhande
 
 
-def brute_orbits(g):
-    """Each vertex's orbit under every automorphism of g, named by its
-    smallest vertex; the automorphisms are listed by plain backtracking."""
-    adj = [set(a) for a in g.adj]
-    reach = [set() for _ in range(g.n)]
-    image = []
-
-    def extend(v, used):
-        if v == g.n:
-            for x, y in enumerate(image):
-                reach[x].add(y)
-            return
-        for u in range(g.n):
-            if u in used or len(adj[u]) != len(adj[v]):
-                continue
-            if all((w in adj[v]) == (image[w] in adj[u]) for w in range(v)):
-                image.append(u)
-                extend(v + 1, used | {u})
-                image.pop()
-
-    extend(0, frozenset())
-    return [min(r) for r in reach]
-
-
 def check_representative(g, r):
     """Connected, r-regular, built as Graph(n, edges) would build it, and
     vertex 0 at a minimal raw key (the generator's root-key filter)."""
@@ -187,7 +163,7 @@ def test_store_keeps_a_labelling_whose_vertex_0_is_not_minimal():
 
 
 @pytest.mark.parametrize("n,r,leaves,stored,searches",
-                         [(12, 3, 437, 280, 389), (10, 4, 1215, 256, 198)],
+                         [(12, 3, 437, 280, 205), (10, 4, 1215, 256, 198)],
                          ids=["cubic-12", "quartic-10"])
 def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored,
                                 searches):
@@ -199,10 +175,11 @@ def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored,
     # nor the vertex-1 filter, cubic n=12 had 1,201 and 513, quartic n=10
     # 1,692 and 524; with no cut or filter at all, all 2,999 leaves of
     # cubic n=12 reached the store.
-    # The third count is the store's _isomorphic calls, orbit searches
-    # included.  Without the walk-signature filter in shared buckets,
-    # cubic n=12 made 494, 261 of them failing; quartic n=10's buckets
-    # are nearly pure, so the filter leaves its 198 as they were.
+    # The third count is the store's _isomorphic calls.  Without the
+    # walk-signature filter in shared buckets, cubic n=12 made 494, 261 of
+    # them failing; with it, 389 while each representative's automorphism
+    # orbits were searched for as well, and 205 without those searches.
+    # Quartic n=10's buckets are nearly pure, so its 198 never moved.
     import soltes.enumeration as enumeration
     calls = {"filter": 0, "store": 0, "search": 0}
 
@@ -274,25 +251,6 @@ def test_filter_drops_a_labelling_whose_vertex_1_is_not_minimal():
     assert not store_add(store, g)
 
 
-def test_orbits_match_brute_force():
-    # with the raw keys, and with one key for every vertex, so that the
-    # automorphism searches alone separate the orbits
-    graphs = [prism(), k33(), petersen(), *rook_and_shrikhande()]
-    graphs += [g for n in (4, 6, 8, 10) for g in gen_regular(n, 3)]
-    assert len(graphs) == 32
-    split = 0
-    for g in graphs:
-        masks = masks_of(g)
-        want = brute_orbits(g)
-        raw = [_raw_key(masks, v) for v in range(g.n)]
-        assert _orbits(g.n, masks, raw) == want
-        assert _orbits(g.n, masks, [0] * g.n) == want
-        # same-key vertices in different orbits
-        split += any(raw[u] == raw[v] and want[u] != want[v]
-                     for u in range(g.n) for v in range(u))
-    assert split
-
-
 def test_walk_signature_is_a_relabelling_invariant():
     rook, shrikhande = rook_and_shrikhande()
     graphs = [prism(), k33(), petersen(), rook, shrikhande]
@@ -345,9 +303,9 @@ def test_store_without_the_signature_filter(monkeypatch, n, r, classes):
 
 
 def test_store_rejects_relabellings_in_mixed_buckets():
-    # Cubic n=12 has 10 buckets with two to four classes, each holding a
-    # representative that is not vertex-transitive, so the tests against
-    # them try one start image per orbit.
+    # Cubic n=12 has 10 buckets with two to four classes; a relabelling
+    # that lands in one of them is tested only against the representatives
+    # with its walk signature.
     graphs = list(gen_regular(12, 3))
     store = _ClassStore(12)
     assert all(store_add(store, g) for g in graphs)
@@ -361,9 +319,7 @@ def test_store_rejects_relabellings_in_mixed_buckets():
     mixed = [b for b in store.buckets.values() if len(b) > 1]
     assert len(mixed) == 10
     for bucket in mixed:
-        orbits = [held[2] for held in bucket]
-        assert None not in orbits
-        assert any(len(set(o)) > 1 for o in orbits)
+        assert all(held[2] is not None for held in bucket)
 
 
 def test_search_leaves_no_cyclic_garbage():
@@ -391,6 +347,8 @@ def test_gen_regular_argument_errors():
         list(gen_regular(5, 3))  # odd n*r
     with pytest.raises(ValueError):
         list(gen_regular(3, 3))  # n must exceed r
+    with pytest.raises(ValueError):
+        list(gen_regular(4, -2))  # negative degree
 
 
 def test_emitted_graphs_pairwise_non_isomorphic():
@@ -430,14 +388,26 @@ def test_isomorphism_test_separates_same_bucket_pair():
                    if v in g.adj[u] and w in g.adj[u] and w in g.adj[v])
 
     assert has_k4(rook) and not has_k4(shrikhande)
+    # Both are vertex-transitive: the translations of Z4 x Z4 are
+    # automorphisms of each, so the search tries every start image.
+    for g in (rook, shrikhande):
+        for a, b in itertools.product(range(4), repeat=2):
+            shift = [4 * ((v // 4 + a) % 4) + (v + b) % 4 for v in range(16)]
+            assert relabel(g, shift) == g
     store = _ClassStore(16)
     for g in (rook, shrikhande):
         assert store_add(store, g)
     assert len(store.buckets) == 1
-    # a third graph in the bucket runs the orbit-pruned tests
-    perm = list(range(16))
-    random.Random(16).shuffle(perm)
-    assert not store_add(store, relabel(shrikhande, perm))
+    rng = random.Random(16)
+    for g in (rook, shrikhande):
+        for _ in range(3):
+            perm = list(range(16))
+            rng.shuffle(perm)
+            assert not store_add(store, relabel(g, perm))
+    [bucket] = store.buckets.values()
+    assert len(bucket) == 2
+    # the signature filter passes both representatives to the search
+    assert bucket[0][2] == bucket[1][2] == walk_signature(rook)
 
 
 def test_classify_small_rows_have_no_removable_vertices():

@@ -39,3 +39,34 @@ def test_codec_does_not_import_cayley():
             "sys.exit('soltes.cayley' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert done.returncode == 0
+
+
+def test_every_private_helper_has_a_caller():
+    # a private module-level function or method that nothing in the
+    # package calls, outside its own body, is kept alive only by tests
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    helpers = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            scope = node.body if isinstance(node, ast.ClassDef) else [node]
+            helpers += [(name, fn) for fn in scope
+                        if isinstance(fn, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                        and fn.name.startswith("_")
+                        and not (fn.name.startswith("__")
+                                 and fn.name.endswith("__"))]
+    uses = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append((name, node))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((name, node))
+    unused = []
+    for name, fn in helpers:
+        inside = {id(node) for node in ast.walk(fn)}
+        if all(where == name and id(node) in inside
+               for where, node in uses.get(fn.name, ())):
+            unused.append(f"{name}:{fn.lineno} {fn.name}")
+    assert not unused, unused
