@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from .core import INFINITE, Graph, _bfs_raw, _wieners, is_biconnected
 from .families import LabeledGraph, g_t_r
-# build_many_soltes raises Infeasible through feasible_q; it keeps this name
-from .plan import (ConstructionError, Infeasible, check_layers, feasible_q,
-                   sequence_for)
+from .plan import ConstructionError, check_layers, feasible_q, sequence_for
 
 
 class ConstructionPlan:
     """One build: its trees, red/blue edges and contraction, and the working
-    graph (adjacency, free valency, child counts) that the phases grow.
+    graph that the phases grow: its adjacency, whose sizes give every
+    vertex's free valency 3 - degree, and the tree vertices with a child.
 
     A final layer of one is built as three vertices, the last three ids,
     which assemble contracts into one.
@@ -51,9 +50,7 @@ class ConstructionPlan:
         self.blue_edges = []
         self.levels = [([v1], [v2])]
         self._adj = [set(nbrs) for nbrs in base.graph.adj]
-        self._free = {v1: 2, v2: 2}
-        self._children = {v1: 0, v2: 0}
-        self._new_edges = []
+        self._children = set()
 
     @property
     def labels(self):
@@ -77,15 +74,16 @@ class ConstructionPlan:
         }
 
 
+def _free(plan, v):
+    return 3 - len(plan._adj[v])
+
+
 def _add_edge(plan, a, b):
     if a == b or b in plan._adj[a]:
         raise ConstructionError(f"parallel edge ({a},{b})")
     plan._adj[a].add(b)
     plan._adj[b].add(a)
-    plan._new_edges.append((a, b))
-    plan._free[a] -= 1
-    plan._free[b] -= 1
-    if plan._free[a] < 0 or plan._free[b] < 0:
+    if _free(plan, a) < 0 or _free(plan, b) < 0:
         raise ConstructionError(f"degree overflow at ({a},{b})")
 
 
@@ -116,11 +114,9 @@ def realize_trees(base: LabeledGraph, t, delta, layers) -> ConstructionPlan:
             for p in parents[:single] + parents[:need - single]:
                 v = len(plan._adj)
                 plan._adj.append(set())
-                plan._free[v] = 3
-                plan._children[v] = 0
                 plan.tree_parents[v] = (p, i, tr + 1)
                 row[tr].append(v)
-                plan._children[p] += 1
+                plan._children.add(p)
                 _add_edge(plan, p, v)
         plan.levels.append(row)
     return plan
@@ -128,13 +124,13 @@ def realize_trees(base: LabeledGraph, t, delta, layers) -> ConstructionPlan:
 
 def _level_leaves(plan, i):
     t1, t2 = plan.levels[i]
-    return ([v for v in t1 if plan._children[v] == 0],
-            [v for v in t2 if plan._children[v] == 0])
+    return ([v for v in t1 if v not in plan._children],
+            [v for v in t2 if v not in plan._children])
 
 
 def _first_free_nonleaf(plan, row):
     for v in row:
-        if plan._children[v] > 0 and plan._free[v] > 0:
+        if v in plan._children and _free(plan, v) > 0:
             return v
     return None
 
@@ -184,11 +180,12 @@ def place_red_edges(plan: ConstructionPlan) -> ConstructionPlan:
         prefix += l
         if prefix % 2 == 0:
             continue
+        up = _red_options(plan, i, "up")
         for x in _red_options(plan, i - 1, "down"):
-            if plan._free[x] < 1:
+            if _free(plan, x) < 1:
                 continue
-            y = next((y for y in _red_options(plan, i, "up")
-                      if plan._free[y] > 0 and x not in plan._adj[y]), None)
+            y = next((y for y in up
+                      if _free(plan, y) > 0 and x not in plan._adj[y]), None)
             if y is not None:
                 _add_edge(plan, x, y)
                 plan.red_edges.append((x, y))
@@ -210,7 +207,7 @@ def _interleave(a, b):
 
 def _pool_match(plan, vertices):
     while True:
-        live = [v for v in vertices if plan._free[v] > 0]
+        live = [v for v in vertices if _free(plan, v) > 0]
         if not live:
             return
         v = live[0]
@@ -229,7 +226,7 @@ def _blue_interior(plan, i):
 
     def anchor(a, target_row):
         b = _first_free_nonleaf(plan, target_row)
-        if b is not None and plan._free[a] > 0 and b not in plan._adj[a]:
+        if b is not None and _free(plan, a) > 0 and b not in plan._adj[a]:
             _add_blue(plan, a, b)
 
     if len(leaves) >= 3:
@@ -241,7 +238,7 @@ def _blue_interior(plan, i):
         other = t2 if leaves1 else t1
         anchor(leaves[0], other)
 
-    parity = sum(plan._free[v] for v in t1 + t2)
+    parity = sum(_free(plan, v) for v in t1 + t2)
     if parity % 2:
         raise ConstructionError(f"odd free valency total at level {i}")
     _pool_match(plan, t1 + t2)
@@ -253,7 +250,7 @@ def _blue_cycle(plan, a, b):
     if len(order) < 3:
         raise ConstructionError(f"a blue cycle needs >= 3 vertices, got {order}")
     for v in order:
-        if plan._free[v] != 2:
+        if _free(plan, v) != 2:
             raise ConstructionError(f"cycle vertex {v} lost valency")
     for x, y in zip(order, order[1:] + order[:1]):
         _add_blue(plan, x, y)
@@ -265,7 +262,7 @@ def _blue_joint_tail(plan):
     up1, up2 = plan.levels[-2]
     w1 = plan.tree_parents[y1][0]
     w2 = plan.tree_parents[y2][0]
-    leaves = [v for v in up1 + up2 if plan._children[v] == 0]
+    leaves = [v for v in up1 + up2 if v not in plan._children]
     if not leaves:
         pairs = [(w1, y2), (w2, y1), (y1, y2)]
     else:
@@ -275,7 +272,7 @@ def _blue_joint_tail(plan):
     for a, b in pairs:
         _add_blue(plan, a, b)
     for v in list(up1) + list(up2) + [y1, y2]:
-        if plan._free[v]:
+        if _free(plan, v):
             raise ConstructionError(f"unfilled valency at {v} in tail closure")
 
 
@@ -299,8 +296,8 @@ def assemble(plan: ConstructionPlan) -> Graph:
     The contraction triple, the last three ids, merges into the first of
     them; its triangle's three edges become loops and drop out.
     """
-    edges = list(plan.base.graph.edges()) + plan._new_edges
     n = len(plan._adj)
+    edges = [(a, b) for a in range(n) for b in plan._adj[a] if a < b]
     if plan.contraction:
         triple = plan.levels[-1][0] + plan.levels[-1][1]
         if tuple(triple) != plan.contraction:

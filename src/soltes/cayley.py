@@ -31,7 +31,7 @@ class GeneratorCatalogEntry:
         return f"GeneratorCatalogEntry({self.name})"
 
 
-def group_closure(gens, cap=_CLOSURE_CAP):
+def group_closure(gens):
     """All products reachable from the identity, in BFS discovery order.
 
     Permutations are image tuples on 0..degree-1, and products compose
@@ -54,25 +54,22 @@ def group_closure(gens, cap=_CLOSURE_CAP):
             if prod not in seen:
                 seen.add(prod)
                 order.append(prod)
-                if len(order) > cap:
-                    raise RuntimeError(
-                        f"group closure exceeded cap of {cap} elements")
+                if len(order) > _CLOSURE_CAP:
+                    raise RuntimeError(f"group closure exceeded cap of "
+                                       f"{_CLOSURE_CAP} elements")
     return order
 
 
-def cayley_graph(gens, elements=None) -> Graph:
+def cayley_graph(gens, elements) -> Graph:
     """Undirected Cayley graph on the closure, connection set S union S^-1.
 
     The edge {x, x*s^-1} is the edge {y, y*s} with y = x*s^-1, so the
-    generators alone give every edge.  elements, when given, is
-    group_closure(gens), which then is not recomputed; vertex i is
-    elements[i].
+    generators alone give every edge.  elements is group_closure(gens);
+    vertex i is elements[i].
     """
     for s in gens:
         if all(i == x for i, x in enumerate(s)):
             raise ValueError("identity in connection set")
-    if elements is None:
-        elements = group_closure(gens)
     index = {p: i for i, p in enumerate(elements)}
     return Graph(len(elements), [(i, index[tuple(map(s.__getitem__, elem))])
                                  for i, elem in enumerate(elements)

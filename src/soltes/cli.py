@@ -92,15 +92,7 @@ def _cmd_cayley(args, out):
         for entry in load_catalog():
             print(entry.name, file=out)
         return 0
-    if not args.entry:
-        print("cayley needs --entry NAME or --list", file=sys.stderr)
-        return 2
-    try:
-        entry = catalog_entry(args.entry)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    result = verify_entry(entry)
+    result = verify_entry(catalog_entry(args.entry))
     print(json.dumps(result), file=out)
     return 0 if result["ok"] else 1
 
@@ -143,8 +135,9 @@ def _parser():
     s.set_defaults(func=_cmd_transform)
 
     s = sub.add_parser("cayley", help="rebuild and check a catalog entry")
-    s.add_argument("--entry", default=None)
-    s.add_argument("--list", action="store_true")
+    one = s.add_mutually_exclusive_group(required=True)
+    one.add_argument("--entry")
+    one.add_argument("--list", action="store_true")
     s.set_defaults(func=_cmd_cayley)
     return p
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -12,16 +13,16 @@ _HEADER = ">>graph6<<"
 _MAX_N = 10 ** 6
 
 
+# graph6's size-field forms: (prefix, 6-bit digits, largest n).  The
+# 3-digit form stops at 258047, the largest n whose first digit is below 63,
+# so the field cannot be read as "~~".
+_SIZE_FORMS = (("", 1, 62), ("~", 3, 258047), ("~~", 6, 2 ** 36 - 1))
+
+
 def _size_field(n):
-    # graph6 uses the 4-byte form up to 258047 (the largest n whose first
-    # 6-bit group is below 63, so the field cannot be read as "~~")
-    if n <= 62:
-        return chr(n + 63)
-    if n <= 258047:
-        return "~" + "".join(
-            chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    return "~~" + "".join(
-        chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
+    prefix, digits, _ = next(form for form in _SIZE_FORMS if n <= form[2])
+    return prefix + "".join(chr(((n >> 6 * k) & 63) + 63)
+                            for k in reversed(range(digits)))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -49,23 +50,15 @@ def decode_graph6(s: str) -> Graph:
     if ord(lo) < 63 or ord(hi) > 126:
         ch = lo if ord(lo) < 63 else hi
         raise ValueError(f"character {ch!r} outside graph6 range 63..126")
-    if s[0] != "~":
-        n = ord(s[0]) - 63
-        body = s[1:]
-    elif len(s) >= 2 and s[1] != "~":
-        if len(s) < 4:
-            raise ValueError("truncated graph6 size field")
-        n = 0
-        for ch in s[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
-        body = s[4:]
-    else:
-        if len(s) < 8:
-            raise ValueError("truncated graph6 size field")
-        n = 0
-        for ch in s[2:8]:
-            n = (n << 6) | (ord(ch) - 63)
-        body = s[8:]
+    prefix, digits, _ = next(form for form in reversed(_SIZE_FORMS)
+                             if s.startswith(form[0]))
+    head = len(prefix) + digits
+    if len(s) < head:
+        raise ValueError("truncated graph6 size field")
+    n = 0
+    for ch in s[len(prefix):head]:
+        n = (n << 6) | (ord(ch) - 63)
+    body = s[head:]
     if n > _MAX_N:
         raise ValueError(f"graph6 order {n} exceeds supported maximum {_MAX_N}")
     nbits = n * (n - 1) // 2
@@ -89,36 +82,27 @@ def decode_graph6(s: str) -> Graph:
     return Graph._from_adj(tuple(map(tuple, nbrs)))
 
 
+# cycle notation after spaces are dropped: ASCII digits only, since \d
+# and int() also take other Unicode digits
+_CYCLES = re.compile(r"(?:\((?:[0-9]+(?:,[0-9]+)*)?\))+")
+
+
 def parse_permutation(s: str, degree: int) -> tuple:
     """Parse 1-based disjoint cycles like "(2,4)(6,12,17)" on 1..degree.
 
     The result is the image tuple on 0..degree-1: point x goes to
-    result[x].  "()" is the identity.
+    result[x].  "()" is the identity.  Entries are ASCII digits, and
+    spaces are ignored.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
     text = s.replace(" ", "")
-    if not text:
-        raise ValueError("empty permutation text")
-    cycles = []
-    pos = 0
-    while pos < len(text):
-        if text[pos] != "(":
-            raise ValueError(f"expected '(' at position {pos} in {s!r}")
-        end = text.find(")", pos)
-        if end < 0:
-            raise ValueError(f"unclosed cycle in {s!r}")
-        inner = text[pos + 1:end]
-        if inner:
-            try:
-                entries = [int(tok) for tok in inner.split(",")]
-            except ValueError:
-                raise ValueError(f"malformed cycle {text[pos:end + 1]!r}") from None
-            cycles.append(entries)
-        pos = end + 1
+    if not _CYCLES.fullmatch(text):
+        raise ValueError(f"not cycle notation: {s!r}")
     mapping = list(range(degree))
     used = set()
-    for cyc in cycles:
+    for inner in re.findall("[0-9,]+", text):
+        cyc = [int(tok) for tok in inner.split(",")]
         for x in cyc:
             if not (1 <= x <= degree):
                 raise ValueError(f"entry {x} outside 1..{degree}")

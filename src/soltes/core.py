@@ -338,41 +338,38 @@ def is_biconnected(g: Graph) -> bool:
     n = g.n
     if n < 3:
         return False
-    # iterative DFS low-link articulation test
+    # pass 1: DFS from 0 recording preorder and tree parents; a vertex's
+    # parent is the last vertex to push it before it is popped
     disc = [-1] * n
-    low = [0] * n
     parent = [-1] * n
-    child_count = 0
-    timer = 0
-    stack = [(0, iter(g.adj[0]))]
-    disc[0] = low[0] = timer
-    timer += 1
+    order = []
+    stack = [0]
     while stack:
-        u, it = stack[-1]
-        advanced = False
-        for w in it:
+        u = stack.pop()
+        if disc[u] >= 0:
+            continue
+        disc[u] = len(order)
+        order.append(u)
+        for w in g.adj[u]:
             if disc[w] < 0:
                 parent[w] = u
-                disc[w] = low[w] = timer
-                timer += 1
-                if u == 0:
-                    child_count += 1
-                stack.append((w, iter(g.adj[w])))
-                advanced = True
-                break
-            elif w != parent[u]:
-                if disc[w] < low[u]:
-                    low[u] = disc[w]
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[u] < low[p]:
-                    low[p] = low[u]
-                if p != 0 and low[u] >= disc[p]:
-                    return False
-    # timer counts the vertices the DFS reached: fewer than n is disconnected
-    return timer == n and child_count <= 1
+                stack.append(w)
+    # a vertex left unreached, or a second tree child of the root
+    if len(order) < n or parent.count(0) > 1:
+        return False
+    # pass 2: low values, children before parents.  A neighbour other than
+    # the parent is a descendant, whose low is final, or an ancestor, whose
+    # low is still its preorder number.
+    low = disc[:]
+    for u in reversed(order):
+        p = parent[u]
+        for w in g.adj[u]:
+            if w != p and low[w] < low[u]:
+                low[u] = low[w]
+        # p > 0: u hangs below a vertex other than the root
+        if p > 0 and low[u] >= disc[p]:
+            return False
+    return True
 
 
 def _girth(g):

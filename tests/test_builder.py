@@ -6,14 +6,13 @@ import sys
 
 import pytest
 
-from soltes.builder import (Infeasible, assemble, build_many_soltes,
-                            build_two_soltes, place_blue_edges,
-                            place_red_edges, realize_trees,
+from soltes.builder import (assemble, build_many_soltes, build_two_soltes,
+                            place_blue_edges, place_red_edges, realize_trees,
                             verify_construction)
 from soltes.core import (INFINITE, Graph, delete_vertex, is_biconnected,
                          soltes_report, wiener)
 from soltes.families import g_t_r
-from soltes.plan import ConstructionError, d_of, f_poly
+from soltes.plan import ConstructionError, Infeasible, d_of, f_poly
 
 
 def grow(layers, t=3):
@@ -128,8 +127,8 @@ def test_leaf_counts_balanced_between_trees():
         plan = grow(layers)
         for i in range(1, len(plan.levels) - 1):
             t1, t2 = plan.levels[i]
-            l1 = sum(1 for v in t1 if plan._children[v] == 0)
-            l2 = sum(1 for v in t2 if plan._children[v] == 0)
+            l1 = sum(1 for v in t1 if v not in plan._children)
+            l2 = sum(1 for v in t2 if v not in plan._children)
             assert abs(l1 - l2) <= 1
 
 

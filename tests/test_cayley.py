@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import soltes.cayley
 from soltes.cayley import (GeneratorCatalogEntry, catalog_entry, cayley_graph,
                            group_closure, load_catalog, verify_entry)
 from soltes.codec import parse_permutation
@@ -37,21 +38,23 @@ def test_group_closure_symmetric_group():
     assert len(set(els)) == 6
 
 
-def test_group_closure_cap():
+def test_group_closure_cap(monkeypatch):
+    monkeypatch.setattr(soltes.cayley, "_CLOSURE_CAP", 3)
     gens = [parse_permutation("(1,2,3,4,5,6,7)", 7)]
     with pytest.raises(RuntimeError):
-        group_closure(gens, cap=3)
+        group_closure(gens)
 
 
 def test_cayley_graph_of_cyclic_group_is_cycle(same_class):
-    g = cayley_graph([parse_permutation("(1,2,3,4,5,6,7)", 7)])
+    gens = [parse_permutation("(1,2,3,4,5,6,7)", 7)]
+    g = cayley_graph(gens, group_closure(gens))
     assert same_class(g, cycle(7))
 
 
 def test_cayley_graph_involutions_give_cubic():
     gens = [parse_permutation(s, 6) for s in
             ("(1,2)(3,4)(5,6)", "(1,4)(2,5)(3,6)", "(1,6)(2,3)(4,5)")]
-    g = cayley_graph(gens)
+    g = cayley_graph(gens, group_closure(gens))
     assert profile(g)["regular"] == 3
     assert g.n == len(group_closure(gens))
 
@@ -59,7 +62,8 @@ def test_cayley_graph_involutions_give_cubic():
 def test_cayley_graph_rejects_identity_generator():
     for ident in ((0, 1, 2, 3), [0, 1, 2, 3]):
         with pytest.raises(ValueError, match="identity in connection set"):
-            cayley_graph([(1, 0, 2, 3), ident])
+            gens = [(1, 0, 2, 3), ident]
+            cayley_graph(gens, group_closure(gens))
 
 
 def test_cayley_graph_matches_connection_set_oracle():
@@ -92,7 +96,6 @@ def test_cayley_graph_matches_connection_set_oracle():
         edges = [(i, index[tuple(t[x[k]] for k in range(degree))])
                  for i, x in enumerate(elements) for t in connection]
         want = Graph(len(elements), edges)
-        assert cayley_graph(gens) == want, (trial, gens)
         assert cayley_graph(gens, elements) == want, (trial, gens)
 
 

@@ -232,8 +232,13 @@ def test_cayley_list(capsys):
 
 
 def test_cayley_requires_entry_or_list(capsys):
-    code, _, err = run_cli(capsys, "cayley")
-    assert code == 2 and err.strip()
+    # exactly one of the two: argparse refuses none and both
+    for argv in (["cayley"], ["cayley", "--list", "--entry", "CVT(324,104)"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.strip()
 
 
 def test_cayley_unknown_entry(capsys):

@@ -99,9 +99,14 @@ def test_size_field_switches_form_at_spec_limit():
     assert eight.startswith("~~") and len(eight) == 8
     # the decoder reads each order back from the header alone: a short
     # body fails with the order named, so no large graph is built
-    for n in (258047, 258048):
+    for n in (62, 258047, 258048):
         with pytest.raises(ValueError, match=f"expected .* for n={n}$"):
             decode_graph6(_size_field(n) + "??")
+    # the 8-byte form's largest order is read whole, then refused
+    n = 2 ** 36 - 1
+    assert _size_field(n) == "~~~~~~~~"
+    with pytest.raises(ValueError, match=f"order {n} exceeds"):
+        decode_graph6(_size_field(n))
 
 
 def test_decode_errors():
@@ -134,6 +139,14 @@ def test_parse_permutation_errors():
         parse_permutation("(1,2)(2,3)", 4)
     with pytest.raises(ValueError):
         parse_permutation("(1,x)", 4)
+
+
+def test_parse_permutation_takes_only_ascii_digits():
+    # int() reads each of these entries, but none is cycle notation:
+    # an underscore, a sign, an Arabic-Indic three, a tab
+    for text in ("(1_0,2)", "(+1,2)", "(\u0663,1)", "(1,\t2)"):
+        with pytest.raises(ValueError, match="not cycle notation"):
+            parse_permutation(text, 12)
 
 
 def test_write_report_shapes():

@@ -116,7 +116,6 @@ def test_orbit_report_on_lifted_left_actions(monkeypatch):
         gens = [parse_permutation(t, degree) for t in texts]
         elements = group_closure(gens)
         g = cayley_graph(gens, elements)
-        assert g == cayley_graph(gens)
         actions = left_actions(gens, elements)
         # left multiplication is transitive on the group elements
         assert orbit_and_brute(g, actions) == 1
