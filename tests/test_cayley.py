@@ -54,16 +54,18 @@ def test_cayley_graph_of_cyclic_group_is_cycle(same_class):
 def test_cayley_graph_involutions_give_cubic():
     gens = [parse_permutation(s, 6) for s in
             ("(1,2)(3,4)(5,6)", "(1,4)(2,5)(3,6)", "(1,6)(2,3)(4,5)")]
-    g = cayley_graph(gens, group_closure(gens))
+    elements = group_closure(gens)
+    g = cayley_graph(gens, elements)
     assert profile(g)["regular"] == 3
-    assert g.n == len(group_closure(gens))
+    assert g.n == len(elements)
 
 
 def test_cayley_graph_rejects_identity_generator():
     for ident in ((0, 1, 2, 3), [0, 1, 2, 3]):
+        gens = [(1, 0, 2, 3), ident]
+        elements = group_closure(gens)
         with pytest.raises(ValueError, match="identity in connection set"):
-            gens = [(1, 0, 2, 3), ident]
-            cayley_graph(gens, group_closure(gens))
+            cayley_graph(gens, elements)
 
 
 def test_cayley_graph_matches_connection_set_oracle():
