@@ -5,7 +5,9 @@ and v2 with prescribed level sizes, then inter-level (red) and same-level
 (blue) edges complete every vertex to degree three.  The level sizes are
 chosen so the attachment's weighted distance total equals the base's
 deletion gap, measured on the base by brute force, which makes every chain
-center removable without changing the Wiener index.  build_many_soltes is
+center removable without changing the Wiener index.  verify_construction
+checks that by brute force on one center per orbit of the base's chain
+swaps, each checked as an automorphism of the build.  build_many_soltes is
 the one builder; build_two_soltes is its r = 1 case, the plain ring with its
 two centers.  A ConstructionPlan holds one build's working graph from its
 creation on; realize_trees, place_red_edges, place_blue_edges and assemble
@@ -14,7 +16,8 @@ run on it in that order.
 
 from __future__ import annotations
 
-from .core import INFINITE, Graph, _bfs_raw, _wieners, is_biconnected
+from .core import (INFINITE, Graph, _bfs_raw, _check_automorphism, _wieners,
+                   _wieners_by_orbit, is_biconnected)
 from .families import LabeledGraph, g_t_r
 from .plan import ConstructionError, check_layers, feasible_q, sequence_for
 
@@ -360,15 +363,33 @@ def build_many_soltes(t, r, q=None):
 
 
 def verify_construction(h: Graph, plan: ConstructionPlan) -> dict:
-    """Aggregate postcondition checks for a finished build."""
+    """Aggregate postcondition checks for a finished build.
+
+    W(h - c) is brute force on one center c per orbit of the base's chain
+    swaps, each checked as an automorphism of h, and copied to the rest of
+    its orbit: 3 sweep slices at every r > 1, as the centers fall into
+    u1's and u2's orbits.
+    """
     base = plan.base
     # -1 marks a vertex the BFS did not reach, which fails the layering
     d_v1 = _bfs_raw(h.adj, h.n, base["v1"])
     d_v2 = _bfs_raw(h.adj, h.n, base["v2"])
     layering = all(min(d_v1[v], d_v2[v]) == i
                    for i, (t1, t2) in enumerate(plan.levels) for v in t1 + t2)
+    # the attachment and the contraction only append ids, so each chain
+    # swap extends to h as the identity on them; one that is not an
+    # automorphism of h (a build altered after assembly) is left out
+    tail = tuple(range(base.graph.n, h.n))
+    swaps = []
+    for swap in base.automorphisms:
+        perm = swap + tail
+        try:
+            _check_automorphism(h, perm)
+        except ValueError:
+            continue
+        swaps.append(perm)
     centers = base["centers"]
-    w, *values = _wieners(h, [None, *centers])
+    w, values = _wieners_by_orbit(h, swaps, centers)
     per_center = dict(zip(centers, values))
     w_u1 = per_center[base["u1"]]
     # INFINITE refuses arithmetic: a disconnected h or h - u1 has no gap

@@ -304,29 +304,38 @@ def _join(parent, perm):
             parent[rv] = rw
 
 
+def _wieners_by_orbit(g, automorphisms, vertices):
+    """W(g) and [W(g - v) for v in vertices], one deletion per orbit.
+
+    automorphisms are image lists already checked against g.  W(g - v) is
+    constant on the orbits of the group they generate, so each orbit's
+    smallest vertex is deleted and its value copied to the rest.
+    """
+    parent = list(range(g.n))
+    for perm in automorphisms:
+        _join(parent, perm)
+    roots = [_find(parent, v) for v in vertices]
+    reps = dict.fromkeys(roots)
+    w, *values = _wieners(g, [None, *reps])
+    per_orbit = dict(zip(reps, values))
+    return w, [per_orbit[root] for root in roots]
+
+
 def soltes_report(g: Graph, automorphisms=None) -> SoltesReport:
     """Per-vertex deletion analysis of a connected graph.
 
     W(G) and each W(G-v) come from one batched sweep on g itself
     (_packed_pair_sums), with v masked out; no G-v is built.  automorphisms
     is an optional list of vertex image lists, each an automorphism of g
-    (checked; ValueError otherwise).  W(G-v) is constant on the orbits of
-    the group they generate, so one deletion per orbit is evaluated and its
-    value copied to the rest of the orbit.
+    (checked; ValueError otherwise), and one deletion per orbit of the
+    group they generate is evaluated.
     """
-    parent = list(range(g.n))
-    for perm in automorphisms or ():
+    automorphisms = list(automorphisms or ())
+    for perm in automorphisms:
         _check_automorphism(g, perm)
-        _join(parent, perm)
-    roots = [_find(parent, v) for v in range(g.n)]
-    # each root is its orbit's smallest vertex, so reps lists the orbits'
-    # first vertices in increasing order
-    reps = dict.fromkeys(roots)
-    w, *values = _wieners(g, [None, *reps])
+    w, per_vertex = _wieners_by_orbit(g, automorphisms, range(g.n))
     if w is INFINITE:
         raise ValueError("soltes_report requires a connected graph")
-    per_orbit = dict(zip(reps, values))
-    per_vertex = [per_orbit[root] for root in roots]
 
     soltes_set = tuple(v for v in range(g.n) if per_vertex[v] == w)
     alpha = Fraction(len(soltes_set), g.n) if g.n else Fraction(0, 1)

@@ -59,7 +59,10 @@ import numpy as np
 
 from .core import Graph, soltes_report
 
-_SCALE_CAPS = {3: 16, 4: 13}
+# The largest n per degree whose census row ends in about 10 s; any other
+# degree is capped at 12.  The next rows up ran 11-12 s (n = 11 at degree
+# 6, n = 12 at degree 9) or past a minute (n = 12 at degrees 5 to 8).
+_SCALE_CAPS = {3: 16, 4: 13, 5: 10, 6: 10, 7: 10, 8: 11, 9: 10}
 
 
 class TableRow:

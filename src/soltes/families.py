@@ -4,7 +4,8 @@ The double-chain base g_t_r (at r = 1 the plain ring of 2t diamonds, with
 8t + 8 vertices) uses a fixed vertex numbering so the labelled special
 vertices are stable between runs: diamond k occupies 4k..4k+3 as (left tip,
 centre, centre, right tip), the fan trees follow, and the 8-vertex head
-gadget comes last as z1, z2, c1, c2, p1, p2, v1, v2.
+gadget comes last as z1, z2, c1, c2, p1, p2, v1, v2.  Because g_t_r alone
+knows that numbering, it also yields the base's chain swaps.
 """
 
 from __future__ import annotations
@@ -13,13 +14,18 @@ from .core import Graph
 
 
 class LabeledGraph:
-    """A graph together with a name -> vertex map for its special vertices."""
+    """A graph together with a name -> vertex map for its special vertices.
 
-    __slots__ = ("graph", "labels")
+    automorphisms holds vertex image lists that the constructor claims are
+    automorphisms of graph; a user checks them before relying on one.
+    """
 
-    def __init__(self, graph, labels):
+    __slots__ = ("graph", "labels", "automorphisms")
+
+    def __init__(self, graph, labels, automorphisms=()):
         self.graph = graph
         self.labels = dict(labels)
+        self.automorphisms = tuple(automorphisms)
 
     def __getitem__(self, name):
         return self.labels[name]
@@ -71,6 +77,12 @@ def g_t_r(t, r) -> LabeledGraph:
     endpoints of the middle junction of every chain (2^r vertices in one
     orbit); u1, u2 are the centers of chain 0.  r=1 collapses to the plain
     ring: one chain whose ends attach directly to z1 and z2.
+
+    automorphisms holds 2^(r-1) - 1 chain swaps, none at r = 1, one per
+    internal fan-tree node: the subtrees under its two children trade
+    places in both trees at once, each chain below them with its partner.
+    Every swap fixes the head, and together they move chain 0 onto every
+    chain, so u1's images are centers[0::2] and u2's are centers[1::2].
     """
     if t < 1 or r < 1:
         raise ValueError("g_t_r needs t >= 1 and r >= 1")
@@ -113,10 +125,32 @@ def g_t_r(t, r) -> LabeledGraph:
 
     edges += [(z1, root1), (z2, root2), (z1, z2), (z1, c1), (z2, c2),
               (c1, p1), (p1, c2), (c2, p2), (p2, c1), (p1, v1), (p2, v2)]
+
+    def owned(node):
+        # an internal node's vertex in each tree; a leaf's whole chain
+        if node < chains:
+            return (base_t1 + node - 1, base_t2 + node - 1)
+        first = 4 * (node - chains) * chain_len
+        return range(first, first + 4 * chain_len)
+
+    identity = tuple(range(n))
+    swaps = []
+    for node in range(1, chains):
+        # l levels below node's children, heap node x of the first subtree
+        # trades places with x + 2^l of the second
+        perm = list(identity)  # shares identity's int objects
+        row, step = [2 * node], 1
+        while row[0] < 2 * chains:
+            for x in row:
+                for a, b in zip(owned(x), owned(x + step)):
+                    perm[a], perm[b] = b, a
+            row = [c for x in row for c in (2 * x, 2 * x + 1)]
+            step *= 2
+        swaps.append(tuple(perm))
     labels = {
         "u1": centers[0], "u2": centers[1],
         "z1": z1, "z2": z2, "c1": c1, "c2": c2, "p1": p1, "p2": p2,
         "v1": v1, "v2": v2,
         "centers": tuple(centers),
     }
-    return LabeledGraph(Graph(n, edges), labels)
+    return LabeledGraph(Graph(n, edges), labels, swaps)

@@ -9,7 +9,8 @@ import pytest
 from soltes.builder import (assemble, build_many_soltes, build_two_soltes,
                             place_blue_edges, place_red_edges, realize_trees,
                             verify_construction)
-from soltes.core import (INFINITE, Graph, delete_vertex, is_biconnected,
+from soltes.core import (INFINITE, Graph, _check_automorphism, _find, _join,
+                         _wieners, delete_vertex, is_biconnected,
                          soltes_report, wiener)
 from soltes.families import g_t_r
 from soltes.plan import ConstructionError, Infeasible, d_of, f_poly
@@ -265,6 +266,114 @@ def test_workload_build_soltes_set_is_pinned(r, t, q, n):
             if nx.wiener_index(gv) == w:
                 found.append(v)
         assert tuple(found) == want
+
+
+def extend(base, n):
+    """The base's chain swaps on n >= base.graph.n ids, fixing the rest."""
+    tail = tuple(range(base.graph.n, n))
+    return [swap + tail for swap in base.automorphisms]
+
+
+def assert_center_orbits(g, base, swaps):
+    # 2^(r-1) - 1 swaps, each an automorphism of g (ValueError otherwise);
+    # the group they generate moves u1 exactly onto centers[0::2] and u2
+    # exactly onto centers[1::2]
+    centers = base["centers"]
+    assert len(swaps) == len(centers) // 2 - 1
+    parent = list(range(g.n))
+    for perm in swaps:
+        _check_automorphism(g, perm)
+        _join(parent, perm)
+    roots = [_find(parent, v) for v in range(g.n)]
+    for part in (centers[0::2], centers[1::2]):
+        orbit = {v for v in range(g.n) if roots[v] == roots[part[0]]}
+        assert orbit == set(part)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_chain_swaps_are_automorphisms_of_the_base(r):
+    for t in (1, 2, 3):
+        base = g_t_r(t, r)
+        assert_center_orbits(base.graph, base, base.automorphisms)
+
+
+@pytest.mark.parametrize("r,t", [p.values[:2] for p in WORKLOAD_BUILDS
+                                 if p.values[0] > 1])
+def test_chain_swaps_are_automorphisms_of_workload_builds(r, t):
+    # the attachment hangs off v1 and v2, which every swap fixes
+    h, plan = build_many_soltes(t, r)
+    assert_center_orbits(h, plan.base, extend(plan.base, h.n))
+
+
+@pytest.mark.parametrize("r,t,q,n", [p for p in WORKLOAD_BUILDS
+                                     if p.values[0] > 1])
+def test_scan_through_chain_swaps_finds_the_centers(r, t, q, n):
+    # one deletion per orbit of the swaps; the pinned test above scans
+    # every vertex of the same builds
+    h, plan = build_many_soltes(t, r)
+    report = soltes_report(h, automorphisms=extend(plan.base, h.n))
+    assert report.soltes_set == tuple(sorted(plan.labels["centers"]))
+
+
+def every_center_oracle(h, plan):
+    """verify_construction's centers and wiener_gap, every center deleted."""
+    base = plan.base
+    w = wiener(h)
+    after = {c: wiener(delete_vertex(h, c)) for c in base["centers"]}
+    w_u1 = after[base["u1"]]
+    gap = INFINITE if INFINITE in (w, w_u1) else w - w_u1
+    return {c: w is not INFINITE and x == w for c, x in after.items()}, gap
+
+
+def count_wieners(monkeypatch):
+    """Record how many entries each verification sweep asks for."""
+    asked = []
+
+    def counting(g, removed):
+        asked.append(len(removed))
+        return _wieners(g, removed)
+
+    monkeypatch.setattr("soltes.core._wieners", counting)
+    return asked
+
+
+@pytest.mark.parametrize("t,r", [
+    (3, 1), (4, 2), (6, 3),
+    pytest.param(14, 4, marks=pytest.mark.skipif(
+        not os.environ.get("SOLTES_EXTENDED"),
+        reason="n = 956 oracle; set SOLTES_EXTENDED=1")),
+])
+def test_verify_construction_evaluates_one_center_per_orbit(monkeypatch, t, r):
+    # W(h) and one center per orbit, u1's and u2's: 3 entries at every r,
+    # where brute force on every center asks for 2^r + 1
+    h, plan = build_many_soltes(t, r)
+    asked = count_wieners(monkeypatch)
+    rep = verify_construction(h, plan)
+    assert asked == [3]
+    assert rep["ok"]
+    assert (rep["centers"], rep["wiener_gap"]) == every_center_oracle(h, plan)
+
+
+@pytest.mark.parametrize("t,r,entries", [(4, 2, 5), (6, 3, 7)])
+def test_verify_construction_skips_a_swap_the_build_breaks(monkeypatch, t, r,
+                                                           entries):
+    # Dropping a centre-to-tip edge of chain 1's first diamond breaks the
+    # swaps that move chain 1: the one swap at r = 2, two of the three at
+    # r = 3.  They are skipped, not raised.  Chains 0 and 1 get a slice per
+    # center; at r = 3 chains 2 and 3 still share theirs.  Only chain 1's
+    # centers stop being removable, so a value copied across a broken swap
+    # would show.
+    h, plan = build_many_soltes(t, r)
+    a = 4 * 2 * t + 1
+    cut = Graph(h.n, [e for e in h.edges() if e != (a, a + 2)])
+    assert cut.m == h.m - 1
+    asked = count_wieners(monkeypatch)
+    rep = verify_construction(cut, plan)
+    assert asked == [entries]
+    assert rep["ok"] is False and not rep["regular"]
+    centers = plan.base["centers"]
+    assert [c for c in centers if not rep["centers"][c]] == list(centers[2:4])
+    assert (rep["centers"], rep["wiener_gap"]) == every_center_oracle(cut, plan)
 
 
 def test_plan_serialization_roundtrips_json():

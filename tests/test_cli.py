@@ -192,6 +192,13 @@ def test_tables_negative_degree_is_a_usage_error(capsys):
     assert "negative" in err
 
 
+def test_tables_refuses_a_row_past_its_scale_cap(capsys):
+    # gen_regular(12, 5) runs for minutes; the cap refuses it at once
+    code, out, err = run_cli(capsys, "tables", "--n", "12", "--r", "5")
+    assert code == 2 and out == ""
+    assert "n=12 exceeds the r=5 scale cap of 10" in err
+
+
 @pytest.mark.parametrize("r,counts,line", [
     (3, {2: 3, 1: 4}, "509,4,3,0,0,0,0,0,0"),
     (3, {1: 2, 10: 1}, "509,2,0,0,0,0,0,0,0,0,1"),
