@@ -7,11 +7,11 @@ chosen so the attachment's weighted distance total equals the base's
 deletion gap, measured on the base by brute force, which makes every chain
 center removable without changing the Wiener index.  verify_construction
 checks that by brute force on one center per orbit of the base's chain
-swaps, each checked as an automorphism of the build.  build_many_soltes is
-the one builder; build_two_soltes is its r = 1 case, the plain ring with its
-two centers.  A ConstructionPlan holds one build's working graph from its
-creation on; realize_trees, place_red_edges, place_blue_edges and assemble
-run on it in that order.
+swaps and mirror, each checked as an automorphism of the build.
+build_many_soltes is the one builder; build_two_soltes is its r = 1 case,
+the plain ring with its two centers.  A ConstructionPlan holds one build's
+working graph from its creation on; realize_trees, place_red_edges,
+place_blue_edges and assemble run on it in that order.
 """
 
 from __future__ import annotations
@@ -366,9 +366,9 @@ def verify_construction(h: Graph, plan: ConstructionPlan) -> dict:
     """Aggregate postcondition checks for a finished build.
 
     W(h - c) is brute force on one center c per orbit of the base's chain
-    swaps, each checked as an automorphism of h, and copied to the rest of
-    its orbit: 3 sweep slices at every r > 1, as the centers fall into
-    u1's and u2's orbits.
+    swaps and mirror, each checked as an automorphism of h, and copied to
+    the rest of its orbit: 2 sweep slices at every r, as the centers form
+    one orbit.
     """
     base = plan.base
     # -1 marks a vertex the BFS did not reach, which fails the layering
@@ -376,20 +376,20 @@ def verify_construction(h: Graph, plan: ConstructionPlan) -> dict:
     d_v2 = _bfs_raw(h.adj, h.n, base["v2"])
     layering = all(min(d_v1[v], d_v2[v]) == i
                    for i, (t1, t2) in enumerate(plan.levels) for v in t1 + t2)
-    # the attachment and the contraction only append ids, so each chain
-    # swap extends to h as the identity on them; one that is not an
+    # the attachment and the contraction only append ids, so each base
+    # automorphism extends to h as the identity on them; one that is not an
     # automorphism of h (a build altered after assembly) is left out
     tail = tuple(range(base.graph.n, h.n))
-    swaps = []
-    for swap in base.automorphisms:
-        perm = swap + tail
+    perms = []
+    for perm in base.automorphisms:
+        perm += tail
         try:
             _check_automorphism(h, perm)
         except ValueError:
             continue
-        swaps.append(perm)
+        perms.append(perm)
     centers = base["centers"]
-    w, values = _wieners_by_orbit(h, swaps, centers)
+    w, values = _wieners_by_orbit(h, perms, centers)
     per_center = dict(zip(centers, values))
     w_u1 = per_center[base["u1"]]
     # INFINITE refuses arithmetic: a disconnected h or h - u1 has no gap

@@ -7,9 +7,10 @@ equality checks only (any arithmetic with it raises TypeError on purpose).
 There is one all-pairs distance kernel, _packed_pair_sums: a bit-packed
 simultaneous BFS that evaluates W(G) and any number of W(G - v) in one
 batched sweep on g itself, so no G - v is ever built.  wiener, profile and
-soltes_report all go through it.  The only single-source routine is
+soltes_report all go through it, and profile reads the girth, the diameter
+and bipartiteness off its one sweep.  The only single-source routine is
 _bfs_raw, a plain BFS distance list with -1 for unreachable vertices; it
-serves is_connected and the builder's distance checks.
+serves only is_connected and the builder's distance checks.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ ACYCLIC = _Sentinel("ACYCLIC")
 # Words of 64 bits per sweep array: a chunk of _packed_pair_sums holds
 # max(1, _SWEEP_WORDS // ((n + 1) * ceil(n / 64))) slices.  Four such arrays
 # are live at once (frontier, unreached and two gather buffers), 256 KB in
-# all.  Larger chunks pay numpy's per-call overhead fewer times; 2^11 words
-# gave no gain over one sweep per deletion on the scan benchmark, 2^13 most
-# of the gain at half the memory of 2^14.
+# all; profile's closure mode adds a fifth (dup).  Larger chunks pay numpy's
+# per-call overhead fewer times; 2^11 words gave no gain over one sweep per
+# deletion on the scan benchmark, 2^13 most of the gain at half the memory
+# of 2^14.
 _SWEEP_WORDS = 2 ** 13
 
 
@@ -159,7 +161,7 @@ def _neighbour_table(g):
     return table
 
 
-def _packed_pair_sums(g, removed):
+def _packed_pair_sums(g, removed, closures=False):
     """[(sum of d(x, y) over ordered pairs, last level, connected flag)],
     one per entry of removed: g - v for a vertex v, g itself for None.
 
@@ -168,7 +170,7 @@ def _packed_pair_sums(g, removed):
     pair-distance sum accumulates as the sum over levels of the pairs still
     unreached, so no distance matrix is ever materialized.  Neighbour
     frontiers are ORed in one table row at a time, so the working set stays
-    four chunk-sized arrays whatever the degree.
+    four chunk-sized arrays whatever the degree (five with closures).
 
     The entries run in chunks, each a (slices, n + 1, words) frontier array
     of as many slices as _SWEEP_WORDS allows (at least one); row n of every
@@ -179,8 +181,16 @@ def _packed_pair_sums(g, removed):
     row.  So v's frontier stays empty, no source ever reaches v, and the
     other vertices make the (n - 1)^2 ordered pairs of g - v.  A slice
     stops counting after its last level, or when a level reaches nothing
-    new while pairs remain, which clears its connected flag (the sum and
-    level are then partial).
+    new while pairs remain; the connected flag says every pair was reached
+    (the sum and level are partial otherwise).
+
+    With closures, each entry also has the girth (0 if acyclic) and a
+    bipartite flag.  As the levels are synchronous over the sources, the
+    girth is 2k + 1 or 2k + 2 at the first level k with an edge inside a
+    frontier (odd: not bipartite) or a new vertex gathered from two
+    frontier vertices (dup).  Such a slice runs until its frontier is
+    empty, not only until every pair is reached, so that the last level's
+    inner edges are seen.
 
     Totals are exact in int64: a sum is below n^3, and n^3 < 2^63 for every
     n whose (n + 1) x n bit slice fits in memory (n < 2^21).
@@ -210,10 +220,12 @@ def _packed_pair_sums(g, removed):
         remaining = order * (order - 1)
         total = np.zeros(b, dtype=np.int64)
         level = np.zeros(b, dtype=np.int64)
-        connected = np.ones(b, dtype=bool)
+        girth = np.zeros(b, dtype=np.int64)
+        bipartite = np.ones(b, dtype=bool)
         live = remaining > 0
         new = np.empty_like(unreached)
         tmp = np.empty_like(unreached)
+        dup = np.zeros_like(unreached) if closures else None
         while live.any():
             total += remaining * live
             # every index is in 0..n, and "clip" writes out directly where
@@ -221,17 +233,28 @@ def _packed_pair_sums(g, removed):
             frontier.take(nbrs[0], axis=1, out=new, mode="clip")
             for column in nbrs[1:]:
                 frontier.take(column, axis=1, out=tmp, mode="clip")
+                if closures:
+                    dup |= new & tmp
                 new |= tmp
+            if closures:
+                odd = (new & frontier[:, :n]).any(axis=(1, 2))
+                even = (dup & unreached).any(axis=(1, 2))
+                dup.fill(0)
+                first = (girth == 0) & (odd | even)
+                girth[first] = (2 * level + 2 - odd)[first]
+                bipartite &= ~odd
             new &= unreached
             fresh = np.bitwise_count(new).sum(axis=(1, 2), dtype=np.int64)
             grown = fresh > 0
             level += grown
             remaining -= fresh
-            connected &= grown | ~live
-            live &= grown & (remaining > 0)
+            live &= grown if closures else grown & (remaining > 0)
             unreached ^= new
             frontier[:, :n] = new
-        out.extend(zip(total.tolist(), level.tolist(), connected.tolist()))
+        columns = [total, level, remaining == 0]
+        if closures:
+            columns += [girth, bipartite]
+        out.extend(zip(*(c.tolist() for c in columns)))
     return out
 
 
@@ -381,60 +404,16 @@ def is_biconnected(g: Graph) -> bool:
     return True
 
 
-def _girth(g):
-    best = None
-    for root in range(g.n):
-        dist = [-1] * g.n
-        par = [-1] * g.n
-        dist[root] = 0
-        queue = deque((root,))
-        while queue:
-            u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
-                continue
-            for w in g.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    par[w] = u
-                    queue.append(w)
-                elif w != par[u]:
-                    cand = dist[u] + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
-    return best
-
-
-def _is_bipartite(g):
-    colour = [-1] * g.n
-    for start in range(g.n):
-        if colour[start] >= 0:
-            continue
-        colour[start] = 0
-        queue = deque((start,))
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if colour[w] < 0:
-                    colour[w] = colour[u] ^ 1
-                    queue.append(w)
-                elif colour[w] == colour[u]:
-                    return False
-    return True
-
-
 def profile(g: Graph) -> dict:
     """Summary invariants: girth, diameter, bipartiteness, degree data."""
     degrees = tuple(sorted(len(a) for a in g.adj))
     regular = degrees[0] if degrees and degrees[0] == degrees[-1] else None
-    girth = _girth(g)
-    if girth is None:
-        girth = ACYCLIC
-    [(_, far, connected)] = _packed_pair_sums(g, [None])
-    diameter = far if connected else INFINITE
+    [(_, far, connected, girth, bipartite)] = _packed_pair_sums(
+        g, [None], closures=True)
     return {
-        "girth": girth,
-        "diameter": diameter,
-        "bipartite": _is_bipartite(g),
+        "girth": girth or ACYCLIC,
+        "diameter": far if connected else INFINITE,
+        "bipartite": bipartite,
         "degrees": degrees,
         "regular": regular,
     }

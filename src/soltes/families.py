@@ -5,7 +5,7 @@ The double-chain base g_t_r (at r = 1 the plain ring of 2t diamonds, with
 vertices are stable between runs: diamond k occupies 4k..4k+3 as (left tip,
 centre, centre, right tip), the fan trees follow, and the 8-vertex head
 gadget comes last as z1, z2, c1, c2, p1, p2, v1, v2.  Because g_t_r alone
-knows that numbering, it also yields the base's chain swaps.
+knows that numbering, it also yields the base's chain swaps and mirror.
 """
 
 from __future__ import annotations
@@ -82,7 +82,9 @@ def g_t_r(t, r) -> LabeledGraph:
     internal fan-tree node: the subtrees under its two children trade
     places in both trees at once, each chain below them with its partner.
     Every swap fixes the head, and together they move chain 0 onto every
-    chain, so u1's images are centers[0::2] and u2's are centers[1::2].
+    chain.  The last entry is the mirror, which reverses every chain and
+    swaps the two fan trees, z1 with z2 and c1 with c2; it fixes p1, p2,
+    v1 and v2 and maps u1 to u2.  So all 2^r centers form one orbit.
     """
     if t < 1 or r < 1:
         raise ValueError("g_t_r needs t >= 1 and r >= 1")
@@ -147,6 +149,13 @@ def g_t_r(t, r) -> LabeledGraph:
             row = [c for x in row for c in (2 * x, 2 * x + 1)]
             step *= 2
         swaps.append(tuple(perm))
+    # the mirror: chain offset o -> 8t - 1 - o, the fan trees trade places
+    # node for node, z1 <-> z2 and c1 <-> c2
+    span = 4 * chain_len
+    mirror = [x + span - 1 - 2 * (x % span) for x in range(base_t1)]
+    mirror += [*range(base_t2, head), *range(base_t1, base_t2),
+               z2, z1, c2, c1, p1, p2, v1, v2]
+    swaps.append(tuple(mirror))
     labels = {
         "u1": centers[0], "u2": centers[1],
         "z1": z1, "z2": z2, "c1": c1, "c2": c2, "p1": p1, "p2": p2,

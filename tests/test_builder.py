@@ -269,25 +269,33 @@ def test_workload_build_soltes_set_is_pinned(r, t, q, n):
 
 
 def extend(base, n):
-    """The base's chain swaps on n >= base.graph.n ids, fixing the rest."""
+    """The base's automorphisms on n >= base.graph.n ids, fixing the rest."""
     tail = tuple(range(base.graph.n, n))
-    return [swap + tail for swap in base.automorphisms]
+    return [perm + tail for perm in base.automorphisms]
 
 
-def assert_center_orbits(g, base, swaps):
-    # 2^(r-1) - 1 swaps, each an automorphism of g (ValueError otherwise);
-    # the group they generate moves u1 exactly onto centers[0::2] and u2
-    # exactly onto centers[1::2]
+def assert_center_orbits(g, base, perms):
+    # 2^(r-1) - 1 chain swaps and the mirror, each an automorphism of g
+    # (ValueError otherwise); the swaps alone move u1 exactly onto
+    # centers[0::2] and u2 exactly onto centers[1::2], and with the mirror
+    # the group moves u1 exactly onto all 2^r centers
     centers = base["centers"]
-    assert len(swaps) == len(centers) // 2 - 1
-    parent = list(range(g.n))
-    for perm in swaps:
+    assert len(perms) == len(centers) // 2
+    for perm in perms:
         _check_automorphism(g, perm)
-        _join(parent, perm)
-    roots = [_find(parent, v) for v in range(g.n)]
+    mirror = perms[-1]
+    assert [mirror[base[x]] for x in ("u1", "z1", "c1", "p1", "v1")] == [
+        base[x] for x in ("u2", "z2", "c2", "p1", "v1")]
+
+    def orbit_of(group, v):
+        parent = list(range(g.n))
+        for perm in group:
+            _join(parent, perm)
+        return {x for x in range(g.n) if _find(parent, x) == _find(parent, v)}
+
     for part in (centers[0::2], centers[1::2]):
-        orbit = {v for v in range(g.n) if roots[v] == roots[part[0]]}
-        assert orbit == set(part)
+        assert orbit_of(perms[:-1], part[0]) == set(part)
+    assert orbit_of(perms, base["u1"]) == set(centers)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -308,8 +316,8 @@ def test_chain_swaps_are_automorphisms_of_workload_builds(r, t):
 @pytest.mark.parametrize("r,t,q,n", [p for p in WORKLOAD_BUILDS
                                      if p.values[0] > 1])
 def test_scan_through_chain_swaps_finds_the_centers(r, t, q, n):
-    # one deletion per orbit of the swaps; the pinned test above scans
-    # every vertex of the same builds
+    # one deletion per orbit of the swaps and the mirror; the pinned test
+    # above scans every vertex of the same builds
     h, plan = build_many_soltes(t, r)
     report = soltes_report(h, automorphisms=extend(plan.base, h.n))
     assert report.soltes_set == tuple(sorted(plan.labels["centers"]))
@@ -344,12 +352,12 @@ def count_wieners(monkeypatch):
         reason="n = 956 oracle; set SOLTES_EXTENDED=1")),
 ])
 def test_verify_construction_evaluates_one_center_per_orbit(monkeypatch, t, r):
-    # W(h) and one center per orbit, u1's and u2's: 3 entries at every r,
-    # where brute force on every center asks for 2^r + 1
+    # W(h) and one center for the one orbit: 2 entries at every r, where
+    # brute force on every center asks for 2^r + 1
     h, plan = build_many_soltes(t, r)
     asked = count_wieners(monkeypatch)
     rep = verify_construction(h, plan)
-    assert asked == [3]
+    assert asked == [2]
     assert rep["ok"]
     assert (rep["centers"], rep["wiener_gap"]) == every_center_oracle(h, plan)
 
@@ -359,10 +367,13 @@ def test_verify_construction_skips_a_swap_the_build_breaks(monkeypatch, t, r,
                                                            entries):
     # Dropping a centre-to-tip edge of chain 1's first diamond breaks the
     # swaps that move chain 1: the one swap at r = 2, two of the three at
-    # r = 3.  They are skipped, not raised.  Chains 0 and 1 get a slice per
-    # center; at r = 3 chains 2 and 3 still share theirs.  Only chain 1's
-    # centers stop being removable, so a value copied across a broken swap
-    # would show.
+    # r = 3.  It breaks the mirror too, which maps that edge onto the same
+    # pair of chain 1's last diamond, still an edge.  They are skipped, not
+    # raised.  Chains 0 and 1 get a slice per center; at r = 3 chains 2
+    # and 3 still share theirs, one per end, as the swap of the two holds
+    # and the mirror does not.  So the entries are W(h) and 4 centers at
+    # r = 2, W(h) and 6 at r = 3.  Only chain 1's centers stop being
+    # removable, so a value copied across a broken swap would show.
     h, plan = build_many_soltes(t, r)
     a = 4 * 2 * t + 1
     cut = Graph(h.n, [e for e in h.edges() if e != (a, a + 2)])
@@ -373,6 +384,26 @@ def test_verify_construction_skips_a_swap_the_build_breaks(monkeypatch, t, r,
     assert rep["ok"] is False and not rep["regular"]
     centers = plan.base["centers"]
     assert [c for c in centers if not rep["centers"][c]] == list(centers[2:4])
+    assert (rep["centers"], rep["wiener_gap"]) == every_center_oracle(cut, plan)
+
+
+@pytest.mark.parametrize("t,r", [(3, 1), (4, 2), (6, 3)])
+def test_verify_construction_skips_a_mirror_the_build_breaks(monkeypatch, t,
+                                                            r):
+    # Dropping the head edge z1-c1 breaks the mirror, which maps it onto
+    # z2-c2, and no chain swap, as every swap fixes the head.  u1's and
+    # u2's orbits then get a slice each: 3 entries at every r.  Deleting u1
+    # and u2 no longer gives the same W, so a value copied across the
+    # broken mirror would show.
+    h, plan = build_many_soltes(t, r)
+    base = plan.base
+    cut = Graph(h.n, [e for e in h.edges() if e != (base["z1"], base["c1"])])
+    assert cut.m == h.m - 1
+    asked = count_wieners(monkeypatch)
+    rep = verify_construction(cut, plan)
+    assert asked == [3]
+    assert wiener(delete_vertex(cut, base["u1"])) != wiener(
+        delete_vertex(cut, base["u2"]))
     assert (rep["centers"], rep["wiener_gap"]) == every_center_oracle(cut, plan)
 
 

@@ -13,9 +13,10 @@ import tracemalloc
 
 import pytest
 
+import soltes.core
 from soltes.cli import main
 from soltes.codec import decode_graph6, encode_graph6
-from soltes.families import complete, cycle
+from soltes.families import complete, cycle, wheel
 
 
 def run_cli(capsys, *argv):
@@ -251,6 +252,33 @@ def test_cayley_requires_entry_or_list(capsys):
 def test_cayley_unknown_entry(capsys):
     code, _, err = run_cli(capsys, "cayley", "--entry", "CVT(2,2)")
     assert code == 2 and "no catalog entry" in err
+
+
+def test_only_profile_asks_the_sweep_for_closures(monkeypatch, tmp_path,
+                                                  capsys):
+    # closure detection costs every level a fifth buffer; the deletion
+    # slices of a scan, a build's verification and a catalog check must
+    # not pay it, and profile asks for it in its one sweep
+    sweep = soltes.core._packed_pair_sums
+    calls = []
+
+    def recording(g, removed, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, kwargs))
+        return sweep(g, removed, **kwargs)
+
+    monkeypatch.setattr(soltes.core, "_packed_pair_sums", recording)
+    src = tmp_path / "scan.g6"
+    src.write_text("".join(encode_graph6(g) + "\n" for g in
+                           (cycle(11), complete(7), wheel(9).graph)),
+                   encoding="ascii")
+    for argv in (["soltes", str(src)], ["construct", "--t", "4", "--r", "2"],
+                 ["cayley", "--entry", "CVT(324,104)"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+    assert {caller for caller, _ in calls} == {"_wieners", "profile"}
+    assert [kw for caller, kw in calls if caller == "profile"] == [
+        {"closures": True}]
+    assert all(kw == {} for caller, kw in calls if caller != "profile")
 
 
 def test_console_script_is_installed():

@@ -8,9 +8,12 @@ from fractions import Fraction
 import pytest
 
 import soltes.core
+from soltes.cayley import cayley_graph, group_closure, load_catalog
 from soltes.core import (ACYCLIC, INFINITE, Graph, delete_vertex,
                          is_biconnected, is_connected, profile, soltes_report,
                          wiener, _bfs_raw, _packed_pair_sums, _wieners)
+from soltes.enumeration import gen_regular
+from soltes.transforms import line_graph, truncate
 
 
 def floyd_warshall(n, edges):
@@ -437,6 +440,12 @@ def brute_girth(g):
     return best
 
 
+def brute_bipartite(g):
+    # some 2-colouring of the vertices, as a bit mask, splits every edge
+    return any(all((mask >> u ^ mask >> v) & 1 for u, v in g.edges())
+               for mask in range(2 ** g.n))
+
+
 def test_profile_against_brute_force():
     rng = random.Random(321)
     for _ in range(40):
@@ -445,6 +454,7 @@ def test_profile_against_brute_force():
         p = profile(g)
         want_girth = brute_girth(g)
         assert p["girth"] == (want_girth if want_girth else ACYCLIC)
+        assert p["bipartite"] == brute_bipartite(g)
         if is_connected(g):
             assert p["diameter"] == max(map(max, bfs_distance_matrix(g)))
         else:
@@ -461,3 +471,54 @@ def test_profile_large_graph_uses_same_answers():
     assert p["bipartite"] == (n % 2 == 0)
     assert p["regular"] == 2
 
+
+def assert_profile_matches_networkx(graphs):
+    nx = pytest.importorskip("networkx")
+    for g in graphs:
+        h = nx.empty_graph(g.n)
+        h.add_edges_from(g.edges())
+        girth = nx.girth(h)
+        p = profile(g)
+        assert p["girth"] == (ACYCLIC if girth == float("inf") else girth), g
+        assert p["bipartite"] == nx.is_bipartite(h), g
+
+
+def test_profile_matches_networkx_at_the_edges():
+    rng = random.Random(2024)
+    cycles = {n: [(i, (i + 1) % n) for i in range(n)] for n in (3, 4, 5, 11)}
+    # forests: every vertex after the first picks a parent or starts a tree
+    forests = [Graph(n, [(v, rng.randrange(v)) for v in range(1, n)
+                         if rng.random() < 0.8])
+               for n in range(1, 40, 3)]
+    assert all(profile(g)["girth"] is ACYCLIC for g in forests)
+    # odd cycles close on their last level
+    odd = [Graph(n, cycles[n]) for n in (3, 5, 11)]
+    assert [profile(g)["girth"] for g in odd] == [3, 5, 11]
+    # C_4 and then C_11: the only odd cycle is in the second component
+    split = Graph(15, cycles[4] + [(u + 4, v + 4) for u, v in cycles[11]])
+    assert profile(split) == {"girth": 4, "diameter": INFINITE,
+                              "bipartite": False, "degrees": (2,) * 15,
+                              "regular": 2}
+    tiny = [Graph(0), Graph(1), Graph(2), Graph(2, [(0, 1)])]
+    assert [profile(g)["diameter"] for g in tiny] == [0, 0, INFINITE, 1]
+    assert_profile_matches_networkx(forests + odd + [split] + tiny)
+
+
+@pytest.mark.slow
+def test_profile_matches_networkx_on_census_classes():
+    # every cubic and quartic class with n <= 12; quartic n = 12 alone is
+    # 1,544 classes and most of the time
+    assert_profile_matches_networkx(
+        g for r, ns in ((3, range(4, 13, 2)), (4, range(5, 13)))
+        for n in ns for g in gen_regular(n, r))
+
+
+def test_profile_matches_networkx_on_the_catalog():
+    # the 8 catalog Cayley graphs, their truncations and their line graphs
+    graphs = []
+    for entry in load_catalog():
+        gens = entry.parsed_generators()
+        g = cayley_graph(gens, group_closure(gens))
+        graphs += [g, truncate(g), line_graph(g)]
+    assert len(graphs) == 24
+    assert_profile_matches_networkx(graphs)

@@ -1,11 +1,15 @@
-"""Module layout: imports sit at module top and form no cycle, and no
-invariant is an assert statement."""
+"""Module layout: imports sit at module top and form no cycle, the
+package imports exactly its declared dependencies, and no invariant is an
+assert statement."""
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
+
+import pytest
 
 import soltes
 
@@ -70,3 +74,30 @@ def test_every_private_helper_has_a_caller():
                for where, node in uses.get(fn.name, ())):
             unused.append(f"{name}:{fn.lineno} {fn.name}")
     assert not unused, unused
+
+
+def test_package_imports_exactly_its_declared_dependencies():
+    # every third-party module the package imports is a declared runtime
+    # dependency, every declared one is imported, and no test-only extra
+    # is a runtime import
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+
+    def names(specs):
+        return {re.match(r"[\w.-]+", spec)[0].lower().replace("-", "_")
+                for spec in specs}
+
+    declared = names(project["dependencies"])
+    test_only = names(project["optional-dependencies"]["test"])
+    assert {"networkx", "hypothesis", "pytest"} <= test_only
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"soltes"}
+    assert not third_party & test_only, third_party & test_only
+    assert third_party == declared
