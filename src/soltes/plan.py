@@ -6,11 +6,19 @@ d_of(L) = sum (delta + i) * l_i is the amount the attachment adds to the
 deletion gap, so hitting a target gap means finding a sequence with the
 right weighted total; the modify step walks the whole range one unit at a
 time, from the binary-tree-like profile up to the all-twos chain.  One
-generator owns that walk: sequence_for stops it at a target total, and
-enumerate_chain yields every sequence on it as it is reached.
+generator owns that walk: enumerate_chain yields every sequence on it, and
+sequence_for enters it late.  The walk's states of each length d end at a
+phase end, the state just before it appends layer d + 1: the
+lexicographically largest valid sequence of length d summing to 2q in
+which only the last index qualifies for the modify step, that is, a run of
+twos and then a tail of O(log q) layers rising at least as fast as 3, 4, 5,
+7, 11, ...  sequence_for bisects the phase ends for the last one at or
+below its target and walks only the steps left from there.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 
 class ConstructionError(Exception):
@@ -154,13 +162,13 @@ def modify(layers):
     return check_layers(layers)
 
 
-def _walk(q):
-    """The modify walk from short_sequence(q) to exhaustion.
+def _walk(q, layers=None):
+    """The modify walk from layers, or short_sequence(q), to exhaustion.
 
-    Yields one layer list, changed in place: first as the short sequence,
+    Yields one layer list, changed in place: first as the start sequence,
     then after every step.
     """
-    layers = list(short_sequence(q))
+    layers = list(layers or short_sequence(q))
     yield layers
     start = 0
     while (i := _modify_step(layers, start)) >= 0:
@@ -170,15 +178,49 @@ def _walk(q):
         yield layers
 
 
+def _phase_end(q, d):
+    """The walk's last state of length d, for len(short_sequence(q)) <= d < q.
+
+    Its tail rises at least as fast as 3, 4, 5, 7, 11, ... (l -> 2l - 3)
+    and at most doubles, so the r layers after one of l can total anything
+    from 3r + max(2l - 6, 1)(2^r - 1) to 2l(2^r - 1).  The tail is the
+    longest whose least total fits in 2q beside the twos; then each layer is
+    the largest that leaves the layers after it a total they can take.
+    """
+    tail = 1
+    while tail < d and tail + 2 ** tail <= 2 * (q - d):
+        tail += 1
+    layers, total, l = [2] * (d - tail), 2 * (q - d + tail), 2
+    for rest in range(tail - 1, -1, -1):
+        span = 2 ** rest - 1
+        l = next(v for v in range(2 * l, max(2 * l - 3, l + 1) - 1, -1)
+                 if 3 * rest + max(2 * v - 6, 1) * span
+                 <= total - v <= 2 * v * span)
+        layers.append(l)
+        total -= l
+    return layers
+
+
 def sequence_for(D, q, delta):
-    """The modify-walk sequence with weighted total exactly D."""
+    """The modify-walk sequence with weighted total exactly D.
+
+    Each step raises d_of by one, so the phase ends' totals rise with d:
+    bisect them for the last at or below D, and walk the rest from there.
+    """
     lo, hi = d_min(q, delta), d_max(q, delta)
     if not lo <= D <= hi:
         raise ValueError(f"D={D} outside [{lo}, {hi}] for q={q}")
-    for step, layers in enumerate(_walk(q)):
-        if step == D - lo:
-            break
-    layers = check_layers(layers)
+    layers = short_sequence(q)
+    a, b = len(layers), q - 1
+    while a <= b:
+        d = (a + b) // 2
+        end = _phase_end(q, d)
+        if d_of(end, delta) <= D:
+            layers, a = end, d + 1
+        else:
+            b = d - 1
+    layers = check_layers(
+        next(islice(_walk(q, layers), D - d_of(layers, delta), None)))
     if d_of(layers, delta) != D:
         raise ConstructionError(
             f"modify walk reached {d_of(layers, delta)}, not D={D}")

@@ -1,12 +1,29 @@
 """Layer-sequence calculus: pinned values and closed-form cross-checks."""
 
+import math
+import random
 import re
+from itertools import islice
 
 import pytest
 
-from soltes.plan import (Infeasible, SequenceExhausted, check_layers, d_max,
-                         d_min, d_of, enumerate_chain, f_poly, modify,
-                         q_range, sequence_for, short_sequence, tree_depth)
+from soltes import plan
+from soltes.plan import (Infeasible, SequenceExhausted, _modify_step,
+                         _phase_end, _walk, check_layers, d_max, d_min, d_of,
+                         enumerate_chain, f_poly, modify, q_range,
+                         sequence_for, short_sequence, tree_depth)
+
+# (gap, q, delta) of the sequence_for call behind each of the 27 builds of
+# the benchmark's construct sweep: r = 1 at both ends of q_range(t), then
+# r = 2 and r = 3 at their smallest q.
+WORKLOAD_TARGETS = [
+    (268, 9, 12), (778, 17, 15), (1656, 27, 18), (2998, 38, 21),
+    (4900, 50, 24), (7458, 64, 27), (10768, 78, 30), (14926, 94, 33),
+    (20028, 110, 36), (26170, 128, 39), (778, 21, 15), (1656, 38, 18),
+    (2998, 59, 21), (4900, 85, 24), (7458, 116, 27), (10768, 152, 30),
+    (14926, 192, 33), (20028, 238, 36), (455, 11, 16), (2279, 31, 22),
+    (6183, 56, 28), (12935, 85, 34), (23303, 118, 40), (301, 6, 23),
+    (2665, 30, 29), (7429, 58, 35), (15361, 90, 41)]
 
 
 def test_f_poly_small_values():
@@ -161,18 +178,119 @@ def test_sequence_for_hits_target():
         sequence_for(10 ** 9, 9, 12)
 
 
+@pytest.mark.slow
 def test_sequence_for_matches_chain_for_every_feasible_target():
     for t in range(3, 7):
         delta = 3 * t + 3
-        for q in range(1, 26):
+        for q in range(1, 41):
             chain = list(enumerate_chain(q))
             lo = d_min(q, delta)
             for D in range(lo, d_max(q, delta) + 1):
                 assert sequence_for(D, q, delta) == chain[D - lo], (t, q, D)
 
 
+def test_sequence_for_matches_chain_at_seeded_and_workload_targets():
+    rng = random.Random(22)
+    targets = {}
+    for q in (128, 238, 400):
+        delta = rng.randrange(200)
+        lo, hi = d_min(q, delta), d_max(q, delta)
+        for D in rng.sample(range(lo, hi + 1), 50) + [lo, hi]:
+            targets.setdefault(q, []).append((D - lo, D, delta))
+    for gap, q, delta in WORKLOAD_TARGETS:
+        targets.setdefault(q, []).append((gap - d_min(q, delta), gap, delta))
+    for q, wanted in targets.items():
+        # enumerate_chain checks every state, which takes 11 s at q = 400;
+        # its raw walk is the same sequence of states
+        chain = enumerate_chain(q) if q < 400 else _walk(q)
+        steps = {step for step, _, _ in wanted}
+        at = {step: tuple(layers) for step, layers in enumerate(chain)
+              if step in steps}
+        for step, D, delta in wanted:
+            assert sequence_for(D, q, delta) == at[step], (q, D, delta)
+
+
+def phase_ends(q):
+    """{d: the walk's last state of length d} for every d it lengthens past."""
+    ends, prev = {}, None
+    for layers in _walk(q):
+        if prev is not None and len(layers) > len(prev):
+            ends[len(prev)] = prev
+        prev = tuple(layers)
+    return ends
+
+
+def valid_sequences(total, d, head=()):
+    """Every sequence of length d summing to total that check_layers accepts."""
+    if len(head) == d:
+        if total == 0:
+            yield head
+        return
+    last = len(head) == d - 1
+    cap = 2 * head[-1] if head else 4
+    for l in range(1 if last else 2, min(cap, total) + 1):
+        yield from valid_sequences(total - l, d, head + (l,))
+
+
+def test_phase_end_is_the_walks_last_state_of_each_length():
+    for q in [*range(1, 81), 128, 152, 192, 238]:
+        ends = phase_ends(q)
+        assert sorted(ends) == list(range(len(short_sequence(q)), q)), q
+        for d, layers in ends.items():
+            assert tuple(_phase_end(q, d)) == layers, (q, d)
+
+
+def test_phase_end_is_the_largest_sequence_only_its_last_index_moves():
+    for q in range(2, 13):
+        for d in range(len(short_sequence(q)), q):
+            last_only = [s for s in valid_sequences(2 * q, d)
+                         if _modify_step(list(s)) == d - 1]
+            assert tuple(_phase_end(q, d)) == max(last_only), (q, d)
+
+
+def longest_phase(q):
+    """The most modify steps the walk takes at one length."""
+    steps = {}
+    for layers in islice(_walk(q), 1, None):
+        steps[len(layers)] = steps.get(len(layers), 0) + 1
+    return max(steps.values())
+
+
+def count_calls(monkeypatch, name):
+    calls = [0]
+    wrapped = getattr(plan, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return wrapped(*args)
+    monkeypatch.setattr(plan, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("t, q, most, layers", [
+    # 14874 steps past short_sequence(128); the walk's longest phase there
+    # is 241 steps
+    (12, 128, 241, (2,) * 106 + (3, 4, 6, 9, 17, 5)),
+    # 2782356 steps past short_sequence(1677); every phase of q <= 300 is
+    # shorter than 2q, and the longest at q = 1677 is 3330 steps
+    (60, 1677, 2 * 1677 - 1, (2,) * 1625 + (3, 4, 5, 8, 14, 24, 46)),
+])
+def test_sequence_for_walks_at_most_a_phase(monkeypatch, t, q, most, layers):
+    steps = count_calls(monkeypatch, "_modify_step")
+    ends = count_calls(monkeypatch, "_phase_end")
+    assert sequence_for(f_poly(t), q, 3 * t + 3) == layers
+    assert steps[0] <= most
+    assert ends[0] <= math.ceil(math.log2(q)) + 1
+
+
+def test_longest_phase_pinned():
+    assert longest_phase(128) == 241
+
+
 def test_sequence_for_long_walk_pinned():
-    # t = 12 at q = lo: a walk of 14874 modify steps
+    # t = 12 at q = lo: 14874 modify steps past short_sequence(128), of
+    # which sequence_for walks only those after the last phase end below
+    # the target
     assert q_range(12)[0] == 128
     L = sequence_for(f_poly(12), 128, 39)
     assert L == (2,) * 106 + (3, 4, 6, 9, 17, 5)
