@@ -6,11 +6,14 @@ equality checks only (any arithmetic with it raises TypeError on purpose).
 
 There is one all-pairs distance kernel, _packed_pair_sums: a bit-packed
 simultaneous BFS that evaluates W(G) and any number of W(G - v) in one
-batched sweep on g itself, so no G - v is ever built.  wiener, profile and
-soltes_report all go through it, and profile reads the girth, the diameter
-and bipartiteness off its one sweep.  The only single-source routine is
-_bfs_raw, a plain BFS distance list with -1 for unreachable vertices; it
-serves only is_connected and the builder's distance checks.
+batched sweep on g itself, so no G - v is ever built.  A BFS level costs
+one gather per neighbour-table column, a mask, a popcount and an XOR, and
+the old and new frontiers swap places; the pair sums, last levels and
+connected flags are read off the per-level counts after the loop.  wiener,
+profile and soltes_report all go through it, and profile reads the girth,
+the diameter and bipartiteness off its one sweep.  The only single-source
+routine is _bfs_raw, a plain BFS distance list with -1 for unreachable
+vertices; it serves only is_connected and the builder's distance checks.
 """
 
 from __future__ import annotations
@@ -38,11 +41,12 @@ ACYCLIC = _Sentinel("ACYCLIC")
 
 # Words of 64 bits per sweep array: a chunk of _packed_pair_sums holds
 # max(1, _SWEEP_WORDS // ((n + 1) * ceil(n / 64))) slices.  Four such arrays
-# are live at once (frontier, unreached and two gather buffers), 256 KB in
-# all; profile's closure mode adds a fifth (dup).  Larger chunks pay numpy's
-# per-call overhead fewer times; 2^11 words gave no gain over one sweep per
-# deletion on the scan benchmark, 2^13 most of the gain at half the memory
-# of 2^14.
+# are live at once (the frontier, the new frontier it swaps with, a gather
+# buffer and unreached), 256 KB in all; profile's closure mode adds a fifth
+# (dup).  Larger chunks pay numpy's per-call overhead, a fixed number of
+# calls per BFS level, fewer times; 2^11 words gave no gain over one sweep
+# per deletion on the scan benchmark, 2^13 most of the gain at half the
+# memory of 2^14.
 _SWEEP_WORDS = 2 ** 13
 
 
@@ -151,46 +155,53 @@ def _bfs_raw(adj, n, src):
 
 
 def _neighbour_table(g):
-    """(max(1, max degree), n) index array: column v lists v's neighbours,
-    padded with n, the index of the sweep's all-zero frontier row."""
+    """(max(1, max degree), n + 1) index array: column v lists v's
+    neighbours, padded with n, the index of the sweep's all-zero row;
+    column n is all padding, so row n of every gather stays zero."""
     n = g.n
     width = max(1, max((len(a) for a in g.adj), default=0))
-    table = np.full((width, n), n, dtype=np.intp)
+    table = np.full((width, n + 1), n, dtype=np.intp)
     for v, row in enumerate(g.adj):
         table[: len(row), v] = row
     return table
 
 
 def _packed_pair_sums(g, removed, closures=False):
-    """[(sum of d(x, y) over ordered pairs, last level, connected flag)],
-    one per entry of removed: g - v for a vertex v, g itself for None.
+    """[(sum of d(x, y) over reached ordered pairs, last level, connected
+    flag)], one per entry of removed: g - v for a vertex v, g itself for
+    None.
 
     Simultaneous BFS from every vertex on bit-packed reach sets: level k
-    adds, for every source, the neighbours of its level k-1 frontier.  The
-    pair-distance sum accumulates as the sum over levels of the pairs still
-    unreached, so no distance matrix is ever materialized.  Neighbour
-    frontiers are ORed in one table row at a time, so the working set stays
-    four chunk-sized arrays whatever the degree (five with closures).
+    adds, for every source, the neighbours of its level k-1 frontier.  Each
+    level records only its count of fresh pairs per slice, so no distance
+    matrix is ever materialized; after the loop, a slice's sum is the sum
+    of k times its level-k count, its last level is the number of levels at
+    which it grew, and it is connected when the counts add up to all its
+    ordered pairs.  For a disconnected slice the sum covers the pairs that
+    were reached, and the last level is its largest finite eccentricity.
+    Neighbour frontiers are ORed in one table row at a time, so the working
+    set stays four chunk-sized arrays whatever the degree (five with
+    closures).
 
     The entries run in chunks, each a (slices, n + 1, words) frontier array
-    of as many slices as _SWEEP_WORDS allows (at least one); row n of every
-    slice is the all-zero row the table's padding points at.  All slices
-    share nbrs, g's _neighbour_table.  A removed vertex v is masked
-    through its slice's start state alone: v's identity bit is cleared,
-    v's unreached row is zeroed and v's bit is cleared in every unreached
-    row.  So v's frontier stays empty, no source ever reaches v, and the
-    other vertices make the (n - 1)^2 ordered pairs of g - v.  A slice
-    stops counting after its last level, or when a level reaches nothing
-    new while pairs remain; the connected flag says every pair was reached
-    (the sum and level are partial otherwise).
+    of as many slices as _SWEEP_WORDS allows (at least one).  Every buffer
+    has n + 1 rows; row n is the all-zero row the table's padding points
+    at, and it stays zero in each gather, so the new frontier and the old
+    one swap places instead of being copied.  All slices share nbrs, g's
+    _neighbour_table.  A removed vertex v is masked through its slice's
+    start state alone: v's identity bit is cleared, v's unreached row is
+    zeroed and v's bit is cleared in every unreached row.  So v's frontier
+    stays empty, no source ever reaches v, and the other vertices make the
+    (n - 1)(n - 2) ordered pairs of g - v.  A chunk stops once all its pairs
+    are reached, or at a level that reaches nothing new.
 
     With closures, each entry also has the girth (0 if acyclic) and a
     bipartite flag.  As the levels are synchronous over the sources, the
     girth is 2k + 1 or 2k + 2 at the first level k with an edge inside a
     frontier (odd: not bipartite) or a new vertex gathered from two
-    frontier vertices (dup).  Such a slice runs until its frontier is
-    empty, not only until every pair is reached, so that the last level's
-    inner edges are seen.
+    frontier vertices (dup).  Such a chunk runs until a level reaches
+    nothing, not only until every pair is reached, so that the last
+    level's inner edges are seen.
 
     Totals are exact in int64: a sum is below n^3, and n^3 < 2^63 for every
     n whose (n + 1) x n bit slice fits in memory (n < 2^21).
@@ -207,7 +218,8 @@ def _packed_pair_sums(g, removed, closures=False):
         b = len(chunk)
         frontier = np.zeros((b, n + 1, words), dtype=np.uint64)
         frontier[:, idx, idx >> 6] = bits
-        unreached = ~frontier[:, :n]
+        unreached = ~frontier
+        unreached[:, n] = 0
         order = np.full(b, n, dtype=np.int64)
         hit = [s for s, v in enumerate(chunk) if v is not None]
         if hit:
@@ -217,17 +229,13 @@ def _packed_pair_sums(g, removed, closures=False):
             unreached[s, v] = 0
             unreached[s, :, v >> 6] &= ~bits[v][:, None]
             order[s] = n - 1
-        remaining = order * (order - 1)
-        total = np.zeros(b, dtype=np.int64)
-        level = np.zeros(b, dtype=np.int64)
-        girth = np.zeros(b, dtype=np.int64)
-        bipartite = np.ones(b, dtype=bool)
-        live = remaining > 0
-        new = np.empty_like(unreached)
-        tmp = np.empty_like(unreached)
-        dup = np.zeros_like(unreached) if closures else None
-        while live.any():
-            total += remaining * live
+        pairs = order * (order - 1)
+        left = int(pairs.sum())
+        counts, odds, evens = [], [], []
+        new = np.empty_like(frontier)
+        tmp = np.empty_like(frontier)
+        dup = np.zeros_like(frontier) if closures else None
+        while left:
             # every index is in 0..n, and "clip" writes out directly where
             # the default "raise" goes through a buffered copy
             frontier.take(nbrs[0], axis=1, out=new, mode="clip")
@@ -237,23 +245,33 @@ def _packed_pair_sums(g, removed, closures=False):
                     dup |= new & tmp
                 new |= tmp
             if closures:
-                odd = (new & frontier[:, :n]).any(axis=(1, 2))
-                even = (dup & unreached).any(axis=(1, 2))
+                odds.append((new & frontier).any(axis=(1, 2)))
+                evens.append((dup & unreached).any(axis=(1, 2)))
                 dup.fill(0)
-                first = (girth == 0) & (odd | even)
-                girth[first] = (2 * level + 2 - odd)[first]
-                bipartite &= ~odd
             new &= unreached
-            fresh = np.bitwise_count(new).sum(axis=(1, 2), dtype=np.int64)
-            grown = fresh > 0
-            level += grown
-            remaining -= fresh
-            live &= grown if closures else grown & (remaining > 0)
+            fresh = np.bitwise_count(new).sum(axis=(1, 2)).tolist()
+            got = sum(fresh)
+            if not got:
+                break
+            counts.append(fresh)
+            # closures reads the last level's inner edges in the pass after
+            # it, so it stops only at a pass that reaches nothing
+            if not closures:
+                left -= got
             unreached ^= new
-            frontier[:, :n] = new
-        columns = [total, level, remaining == 0]
+            frontier, new = new, frontier
+        counts = np.array(counts, dtype=np.int64).reshape(-1, b)
+        ks = np.arange(1, len(counts) + 1)
+        columns = [ks @ counts, (counts > 0).sum(axis=0),
+                   counts.sum(axis=0) == pairs]
         if closures:
-            columns += [girth, bipartite]
+            odd = np.array(odds, dtype=bool).reshape(-1, b)
+            cycle = odd | np.array(evens, dtype=bool).reshape(-1, b)
+            # pass k closes a cycle of length 2k - odd, rising with k, so
+            # the least is the girth; n + 1 marks no cycle
+            closing = 2 * np.arange(1, len(odd) + 1)[:, None] - odd
+            girth = np.where(cycle, closing, n + 1).min(axis=0, initial=n + 1)
+            columns += [np.where(girth > n, 0, girth), ~odd.any(axis=0)]
         out.extend(zip(*(c.tolist() for c in columns)))
     return out
 

@@ -49,16 +49,23 @@ def check_layers(layers):
     total = sum(layers)
     if total % 2:
         raise ValueError(f"layer counts sum to odd total {total}")
-    d = len(layers)
-    for i, l in enumerate(layers, start=1):
-        lo = 1 if i == d else 2
-        if not (lo <= l <= 2 ** (i + 1)):
-            raise ValueError(
-                f"layer {i} count {l} outside [{lo}, {2 ** (i + 1)}]")
-        if i < d and layers[i] > 2 * l:
-            raise ValueError(
-                f"layer {i + 1} grows faster than doubling ({layers[i]} > 2*{l})")
+    _check_span(layers, 0, len(layers))
     return layers
+
+
+def _check_span(layers, lo, hi):
+    """check_layers' cap and doubling conditions at the 0-based indices
+    lo..hi-1 of layers (those that exist), doubling read into the next."""
+    d = len(layers)
+    for j in range(lo, min(hi, d)):
+        l = layers[j]
+        least = 1 if j == d - 1 else 2
+        if not (least <= l <= 1 << (j + 2)):
+            raise ValueError(
+                f"layer {j + 1} count {l} outside [{least}, {1 << (j + 2)}]")
+        if j + 1 < d and layers[j + 1] > 2 * l:
+            raise ValueError(f"layer {j + 2} grows faster than doubling "
+                             f"({layers[j + 1]} > 2*{l})")
 
 
 def tree_depth(q):
@@ -166,15 +173,19 @@ def _walk(q, layers=None):
     """The modify walk from layers, or short_sequence(q), to exhaustion.
 
     Yields one layer list, changed in place: first as the start sequence,
-    then after every step.
+    then after every step.  Every state is checked (ValueError if one
+    fails): the start in full, each later state at the indices i - 1 ..
+    i + 2 around the step at i, the only ones whose conditions the step
+    can change.  The step keeps the sum, and a layer it appends is i + 1.
     """
-    layers = list(layers or short_sequence(q))
+    layers = list(check_layers(layers or short_sequence(q)))
     yield layers
     start = 0
     while (i := _modify_step(layers, start)) >= 0:
         # the step changed only l_i and l_{i+1}, so the conditions at the
         # indices below i - 1 are unchanged, and none of them qualified
         start = max(i - 1, 0)
+        _check_span(layers, start, i + 3)
         yield layers
 
 
@@ -219,7 +230,7 @@ def sequence_for(D, q, delta):
             layers, a = end, d + 1
         else:
             b = d - 1
-    layers = check_layers(
+    layers = tuple(
         next(islice(_walk(q, layers), D - d_of(layers, delta), None)))
     if d_of(layers, delta) != D:
         raise ConstructionError(
@@ -230,4 +241,4 @@ def sequence_for(D, q, delta):
 def enumerate_chain(q):
     """Yield the sequences of the modify walk from short to exhaustion."""
     for layers in _walk(q):
-        yield check_layers(layers)
+        yield tuple(layers)

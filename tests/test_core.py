@@ -1,6 +1,7 @@
 """Distance-invariant checks against independent brute-force oracles."""
 
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -265,6 +266,50 @@ def test_batched_sweep_small_and_edge_orders():
         (n - 2) * (n - 1) * n // 6, INFINITE]
 
 
+def oracle_sweep(g, v):
+    """(distance sum over reachable ordered pairs, largest finite
+    eccentricity, connected) of g, or of g - v for a vertex v, by BFS."""
+    h = g if v is None else delete_vertex(g, v)
+    finite = [d for row in bfs_distance_matrix(h) for d in row if d >= 0]
+    return (sum(finite), max(finite, default=0), len(finite) == h.n ** 2)
+
+
+def test_sweep_fields_of_disconnected_slices(monkeypatch):
+    # Disconnected graphs, and deletions at cut vertices, next to connected
+    # slices in the same chunks.  The sum counts only the reached pairs, and
+    # the level is the largest finite eccentricity.
+    rng = random.Random(2323)
+    graphs = [random_graph(rng, n, p) for n in (5, 16, 17, 40, 64, 65, 90)
+              for p in (0.02, 0.05, 0.1)]
+    graphs += [two_blocks_at_a_cut_vertex(rng, a, b)
+               for a, b in ((3, 4), (8, 8), (30, 33))]
+    graphs += [Graph(4), Graph(2, [(0, 1)])]
+    disconnected = 0
+    for g in graphs:
+        words = (g.n + 63) // 64
+        removed = [None, *range(g.n), None]
+        want = [oracle_sweep(g, v) for v in removed]
+        disconnected += sum(not c for _, _, c in want)
+        for k in (1, 3, 7):
+            monkeypatch.setattr(soltes.core, "_SWEEP_WORDS",
+                                k * (g.n + 1) * words)
+            assert _packed_pair_sums(g, removed) == want, (g, k)
+            closed = _packed_pair_sums(g, removed, closures=True)
+            assert [c[:3] for c in closed] == want, (g, k)
+    assert disconnected > 300
+
+
+@pytest.mark.parametrize("n", [704, 705, 706, 1024])
+def test_sweep_closed_forms_on_long_cycles(n):
+    # hundreds of levels with one slice per chunk: from n = 705 on, not
+    # even one (n + 1) x n slice fits the word budget
+    ring = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    path_w = (n - 2) * (n - 1) * n // 6
+    assert _packed_pair_sums(ring, [None, 0, n // 2]) == [
+        (2 * (n * (n * n // 4) // 2), n // 2, True),
+        (2 * path_w, n - 2, True), (2 * path_w, n - 2, True)]
+
+
 def report_peak(g, automorphisms=None):
     tracemalloc.start()
     try:
@@ -383,6 +428,38 @@ def test_orbit_report_cycle_under_rotation(monkeypatch):
     rotation = [(i + 1) % 11 for i in range(11)]
     assert_same_report(soltes_report(c11, automorphisms=[rotation]), brute)
     assert calls == [0]
+
+
+def circulant(n, steps):
+    return Graph(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
+
+@pytest.mark.slow
+def test_c11_is_the_only_one_soltes_circulant_with_at_most_two_steps():
+    # every connected C_n(S) with |S| <= 2, S in 1..n/2 and n = 5..60; the
+    # rotation is an automorphism, so each report makes one deletion
+    nx = pytest.importorskip("networkx")
+    hits, misses = [], []
+    for n in range(5, 61):
+        rotation = [(v + 1) % n for v in range(n)]
+        for k in (1, 2):
+            for steps in itertools.combinations(range(1, n // 2 + 1), k):
+                if math.gcd(n, *steps) != 1:
+                    continue
+                rep = soltes_report(circulant(n, steps), [rotation])
+                (hits if rep.soltes_set else misses).append((n, steps, rep))
+    assert len(hits) + len(misses) == 7767
+    assert [(n, steps) for n, steps, _ in hits] == [
+        (11, (s,)) for s in range(1, 6)]
+    assert all(rep.soltes_set == tuple(range(11)) for _, _, rep in hits)
+    sample = random.Random(11).sample(
+        [miss for miss in misses if miss[0] <= 30], 50)
+    for n, steps, rep in hits + sample:
+        h = nx.empty_graph(n)
+        h.add_edges_from(circulant(n, steps).edges())
+        assert nx.wiener_index(h) == rep.wiener, (n, steps)
+        h.remove_node(0)
+        assert nx.wiener_index(h) == rep.per_vertex[0], (n, steps)
 
 
 def test_orbit_report_identity_only_is_brute_force(monkeypatch):

@@ -108,6 +108,58 @@ def test_chain_invariants_various_q():
         assert len(chain) == d_max(q, 21) - d_min(q, 21) + 1
 
 
+def test_every_walk_state_passes_the_full_check():
+    # the walk checks each state only around its step; the full check on
+    # every state is the oracle
+    for q in range(1, 61):
+        for layers in _walk(q):
+            assert check_layers(layers) == tuple(layers), q
+            assert sum(layers) == 2 * q, q
+
+
+def break_bound(layers, i):
+    layers[i] = 1  # after a step, l_i is never the last layer
+
+
+def break_doubling(layers, i):
+    layers[i + 1] = 2 * layers[i] + 1
+
+
+def break_appended(layers, i):
+    layers[i + 1] = 0
+
+
+@pytest.mark.parametrize("breakage, appends, message", [
+    (break_bound, False, r"count 1 outside \[2, "),
+    (break_doubling, False, "grows faster than doubling"),
+    (break_appended, True, r"count 0 outside \[1, "),
+])
+def test_walk_refuses_the_state_a_broken_step_makes(monkeypatch, breakage,
+                                                     appends, message):
+    # the 30th step at q = 60 that appends a layer (or does not) is broken,
+    # and enumerate_chain raises on that very state
+    calls, chosen = [0], []
+
+    def broken(layers, start=0):
+        calls[0] += 1
+        d = len(layers)
+        i = _modify_step(layers, start)
+        if i >= 0 and (len(layers) > d) == appends:
+            chosen.append(i)
+            if len(chosen) == 30:
+                breakage(layers, i)
+        return i
+
+    monkeypatch.setattr(plan, "_modify_step", broken)
+    states = 0
+    with pytest.raises(ValueError, match=message):
+        for _ in enumerate_chain(60):
+            states += 1
+    assert len(chosen) == 30
+    # the start state and every step before the broken one
+    assert states == calls[0]
+
+
 def test_q_range_pinned_rows():
     assert q_range(3) == (9, 9)
     assert q_range(4) == (17, 21)
@@ -200,11 +252,8 @@ def test_sequence_for_matches_chain_at_seeded_and_workload_targets():
     for gap, q, delta in WORKLOAD_TARGETS:
         targets.setdefault(q, []).append((gap - d_min(q, delta), gap, delta))
     for q, wanted in targets.items():
-        # enumerate_chain checks every state, which takes 11 s at q = 400;
-        # its raw walk is the same sequence of states
-        chain = enumerate_chain(q) if q < 400 else _walk(q)
         steps = {step for step, _, _ in wanted}
-        at = {step: tuple(layers) for step, layers in enumerate(chain)
+        at = {step: layers for step, layers in enumerate(enumerate_chain(q))
               if step in steps}
         for step, D, delta in wanted:
             assert sequence_for(D, q, delta) == at[step], (q, D, delta)
