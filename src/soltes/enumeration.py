@@ -23,22 +23,30 @@ partner), and the prefix is v's component.  When it holds no unsaturated
 vertex yet is not all n, it is a closed proper component, and the branch
 is cut there in O(1).  Every leaf is connected.
 
-At a leaf each vertex has an invariant key (_raw_key: BFS level sizes,
-then sorted shared-neighbour counts), and _root_min_keys drops the leaf
-when some vertex's key is below vertex 0's, or when some neighbour of a
-vertex with vertex 0's key has a key below vertex 1's.  Some leaf of each
-class labels a minimal-key vertex 0 and, next to it, a vertex 1 minimal
-among the neighbours of all minimal-key vertices, so no class is lost;
-ties are kept.  The recursion cuts a branch early when one of its
-vertices, with all its neighbours saturated, already has fewer vertices
-at distance 2 than vertex 0, or is a neighbour of vertex 0 other than
-vertex 1 and has fewer than vertex 1 (saturated from v = 2 on, so its
-count can only grow): its key would be the smaller at every leaf of that
-branch, and _root_min_keys would drop them all.  The cut tests each
-vertex once per branch, where v first passes its closed neighbourhood,
-and the leaf runs it as v = n before _root_min_keys.  Vertex 0's second
-level is final once its neighbours 1..r are saturated, vertex 1's once
-its neighbours are; from there each is passed down, not recomputed.
+At a leaf each vertex has an invariant key (BFS level sizes, then sorted
+shared-neighbour counts), and the leaf filter drops the leaf when some
+vertex's key is below vertex 0's, or when some neighbour of a vertex with
+vertex 0's key has a key below vertex 1's.  Some leaf of each class labels
+a minimal-key vertex 0 and, next to it, a vertex 1 minimal among the
+neighbours of all minimal-key vertices, so no class is lost; ties are
+kept.  The recursion cuts a branch early when one of its vertices, with
+all its neighbours saturated, already has fewer vertices at distance 2
+than vertex 0, or is a neighbour of vertex 0 other than vertex 1 and has
+fewer than vertex 1 (saturated from v = 2 on, so its count can only
+grow): its key would be the smaller at every leaf of that branch, and the
+filter would drop them all.  The cut tests each vertex once per branch,
+where v first passes its closed neighbourhood, and the leaf runs it as
+v = n before it is queued.  Vertex 0's second level is final once its
+neighbours 1..r are saturated, vertex 1's once its neighbours are; from
+there each is passed down, not recomputed.
+
+The filter (_leaf_keys) runs in numpy on a batch of queued leaves: one
+level-synchronous BFS from every vertex of every leaf at once on uint64
+masks, so n is at most 64, and one shared-count product per batch.  The
+generator queues a copy of each leaf's masks and flushes every
+_LEAF_BATCH leaves and once after the search; a flush hands the leaves
+that pass to the class store one by one, in the order they were reached,
+so the store sees the same sequence as with one leaf per call.
 
 The surviving leaves reach _ClassStore, which buckets on the sorted keys
 and runs the package's one isomorphism test (_isomorphic) against stored
@@ -90,62 +98,77 @@ class TableRow:
                 f"counts={self.counts})")
 
 
-def _raw_key(masks, v):
-    """Vertex v's invariant: BFS level sizes, sorted shared-neighbour counts.
+# Leaves per _leaf_keys call: enough to spread numpy's per-call cost, few
+# enough that its (batch, n, n) uint64 temporaries stay near 100 kB at n = 14.
+_LEAF_BATCH = 64
 
-    The level profile is the number of vertices at each BFS distance; the
-    second part sorts |N(v) ∩ N(u)| over every u (u = v contributes the
-    degree).  Together they separate most vertices of same-degree graphs,
-    which keeps the matching below cheap and the buckets nearly pure.  Keys
-    are isomorphism invariants and compare as tuples.
+
+def _below(keys, ref):
+    """Per vertex, whether its key row is below row ref's, lexicographically.
+
+    keys is (leaves, n, width); the first differing column decides, and an
+    equal row is not below.
     """
-    seen = frontier = 1 << v
+    base = np.broadcast_to(keys[:, ref:ref + 1], keys.shape)
+    first = (keys != base).argmax(axis=2)[..., None]
+    return (np.take_along_axis(keys, first, 2)
+            < np.take_along_axis(base, first, 2))[..., 0]
+
+
+def _leaf_keys(leaves):
+    """Each leaf's vertex keys, or None when its vertex 0 or 1 is not minimal.
+
+    leaves is a list of adjacency-mask lists, all on the same n <= 64
+    vertices.  Vertex v's key is (levels, shared): its BFS level sizes
+    (vertices at distance 1, 2, ... within its component), then |N(v) ∩
+    N(u)| over every u, sorted (u = v contributes the degree).  Together
+    they separate most vertices of same-degree graphs, which keeps the
+    class store's search cheap and its buckets nearly pure.  Keys are
+    isomorphism invariants and compare as tuples.
+
+    A leaf is dropped when some vertex's key is below vertex 0's, or when
+    some neighbour of a vertex whose key equals vertex 0's has a key below
+    vertex 1's; either may tie with others.  All vertices of all leaves run
+    their BFS together: reach[v] gains the reach of each neighbour per
+    level, and a level's size is the popcount it adds.  The comparisons run
+    on rows of the level sizes, zero-padded to the batch's deepest BFS,
+    then the sorted shared counts.  Padding is exact, since every level
+    size is positive: a shorter profile that agrees so far compares below,
+    as a shorter tuple does.
+    """
+    n = len(leaves[0])
+    masks = np.array(leaves, np.uint64)
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    adj = (masks[:, :, None] & bits) != 0
+    reach = np.broadcast_to(bits, masks.shape)
+    seen = np.ones(masks.shape, np.uint8)
     levels = []
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            nxt |= masks[b.bit_length() - 1]
-        frontier = nxt & ~seen
-        seen |= frontier
-        if frontier:
-            levels.append(frontier.bit_count())
-    mv = masks[v]
-    shared = sorted(map(int.bit_count, map(mv.__and__, masks)))
-    return tuple(levels), tuple(shared)
-
-
-def _root_min_keys(n, masks):
-    """Every vertex's _raw_key, or None when vertex 0 or 1 is not minimal.
-
-    Vertex 0's key must be minimal over all vertices, and vertex 1's over
-    the neighbours of every vertex whose key equals vertex 0's.  Either may
-    tie with others.
-    """
-    root = _raw_key(masks, 0)
-    raw = [root]
-    for v in range(1, n):
-        key = _raw_key(masks, v)
-        if key < root:
-            return None
-        raw.append(key)
+    while True:
+        reach = reach | np.bitwise_or.reduce(
+            np.where(adj, reach[:, None, :], np.uint64(0)), axis=2)
+        count = np.bitwise_count(reach)
+        if np.array_equal(count, seen):
+            break
+        levels.append((count - seen)[..., None])
+        seen = count
+    shared = np.bitwise_count(masks[:, :, None] & masks[:, None, :])
+    shared.sort(axis=2)
+    keys = np.concatenate((*levels, shared), axis=2)
+    ok = ~_below(keys, 0).any(axis=1)
     if n > 1:
-        second = raw[1]
-        below = 0
-        for y, key in enumerate(raw):
-            if key < second:
-                below |= 1 << y
-        if below:
-            for x, key in enumerate(raw):
-                if key == root and masks[x] & below:
-                    return None
-    return raw
+        root = ~(keys != keys[:, :1]).any(axis=2)
+        ok &= ~(adj & root[:, :, None] & _below(keys, 1)[:, None, :]).any(
+            axis=(1, 2))
+    # the tuples are built for the leaves that pass; filter drops exactly
+    # the zero padding, since every level size is positive
+    depth = len(levels)
+    return [[(tuple(filter(None, row[:depth])), tuple(row[depth:]))
+             for row in leaf.tolist()] if keep else None
+            for leaf, keep in zip(keys, ok.tolist())]
 
 
 def _mask_keys(raw, intern):
-    """Each vertex's _raw_key, interned through the shared dict to an int.
+    """Each vertex's key from _leaf_keys, interned through the shared dict.
 
     Interned ids compare and hash in one step but depend on arrival order,
     so only equality between them means anything.
@@ -264,7 +287,7 @@ class _ClassStore:
     def add(self, masks, raw):
         """True, and a copy of masks is stored, when its class is new.
 
-        raw lists each vertex's _raw_key in masks.
+        raw lists each vertex's key in masks, as _leaf_keys gives it.
         """
         n = self.n
         keys = _mask_keys(raw, self.intern)
@@ -289,6 +312,8 @@ def gen_regular(n, r):
         raise ValueError(f"degree r={r} is negative")
     if n <= r:
         raise ValueError("need n > r")
+    if n > 64:
+        raise ValueError(f"n={n} exceeds 64, the width of a leaf's masks")
     if (n * r) % 2:
         raise ValueError(f"no {r}-regular graph on {n} vertices: odd n*r")
     if r == 0 and n > 1:
@@ -297,7 +322,17 @@ def gen_regular(n, r):
     adjm = [0] * n
     store = _ClassStore(n)
     found = []
+    pending = []
     full = (1 << n) - 1
+
+    def flush():
+        """Filter the queued leaves and add the survivors, in leaf order."""
+        for masks, raw in zip(pending, _leaf_keys(pending)):
+            if raw is not None and store.add(masks, raw):
+                found.append(Graph._from_adj(tuple(
+                    tuple(b for b in range(n) if a >> b & 1)
+                    for a in masks)))
+        pending.clear()
 
     def second_level(x):
         """How many vertices are at distance 2 from x."""
@@ -346,11 +381,9 @@ def gen_regular(n, r):
                 if adjm[1] < top:
                     s1 = t1
             if v == n:
-                raw = _root_min_keys(n, adjm)
-                if raw is not None and store.add(adjm, raw):
-                    found.append(Graph._from_adj(tuple(
-                        tuple(b for b in range(n) if a >> b & 1)
-                        for a in adjm)))
+                pending.append(adjm.copy())
+                if len(pending) >= _LEAF_BATCH:
+                    flush()
                 return
         # partners above lo: unsaturated touched vertices and the fresh one
         av = adjm[v]
@@ -384,6 +417,8 @@ def gen_regular(n, r):
 
     rec(-1, 0, full if r else 0, 1, -1, -1)
     del rec  # the same cycle as place in _isomorphic
+    if pending:
+        flush()
     yield from found
 
 

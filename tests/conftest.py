@@ -2,14 +2,25 @@
 
 import pytest
 
-from soltes.enumeration import _ClassStore, _raw_key
+from soltes.core import _bfs_raw
+from soltes.enumeration import _ClassStore
+
+
+def vertex_key(g, v):
+    """Vertex v's key as the generator's leaf filter gives it (BFS level
+    sizes, then sorted shared-neighbour counts), computed from g.adj with
+    sets and a BFS."""
+    dist = _bfs_raw(g.adj, g.n, v)
+    levels = tuple(dist.count(d) for d in range(1, max(dist) + 1))
+    shared = sorted(len(set(g.adj[v]) & set(g.adj[u])) for u in range(g.n))
+    return levels, tuple(shared)
 
 
 def leaf(g):
-    """(adjacency masks, raw vertex keys) of g, as the generator's leaf
-    hands them to the class store."""
+    """(adjacency masks, vertex keys) of g, as the generator's leaf hands
+    them to the class store."""
     masks = [sum(1 << u for u in nbrs) for nbrs in g.adj]
-    return masks, [_raw_key(masks, v) for v in range(g.n)]
+    return masks, [vertex_key(g, v) for v in range(g.n)]
 
 
 @pytest.fixture

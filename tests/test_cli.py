@@ -200,6 +200,26 @@ def test_tables_refuses_a_row_past_its_scale_cap(capsys):
     assert "n=12 exceeds the r=5 scale cap of 10" in err
 
 
+@pytest.mark.parametrize("n,r,code,err_part", [
+    (1, 0, 0, ""),
+    (3, 0, 0, ""),
+    (6, 3, 0, ""),
+    (5, 3, 2, "odd n*r"),
+    (3, 3, 2, "need n > r"),
+    (13, 2, 2, "n=13 exceeds the r=2 scale cap of 12"),
+    (17, 3, 2, "n=17 exceeds the r=3 scale cap of 16"),
+    (14, 4, 2, "n=14 exceeds the r=4 scale cap of 13"),
+    (11, 6, 2, "n=11 exceeds the r=6 scale cap of 10"),
+    (12, 9, 2, "n=12 exceeds the r=9 scale cap of 10"),
+    (65, 2, 2, "n=65 exceeds the r=2 scale cap of 12"),
+])
+def test_tables_exit_codes(capsys, n, r, code, err_part):
+    # the caps refuse every row before the generator's own n <= 64 limit
+    got, out, err = run_cli(capsys, "tables", "--n", str(n), "--r", str(r))
+    assert got == code and (out == "") == bool(code)
+    assert err_part in err and bool(err) == bool(code)
+
+
 @pytest.mark.parametrize("r,counts,line", [
     (3, {2: 3, 1: 4}, "509,4,3,0,0,0,0,0,0"),
     (3, {1: 2, 10: 1}, "509,2,0,0,0,0,0,0,0,0,1"),

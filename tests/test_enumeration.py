@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from soltes.core import Graph, _bfs_raw, is_connected, profile
-from soltes.enumeration import (TableRow, _ClassStore, _raw_key,
-                                _root_min_keys, _walk_signature,
-                                classify_table, gen_regular)
+from conftest import vertex_key
+from soltes.core import Graph, is_connected, profile
+from soltes.enumeration import (TableRow, _ClassStore, _leaf_keys,
+                                _walk_signature, classify_table, gen_regular)
 from soltes.families import complete
 
 
@@ -27,14 +27,6 @@ def brute_isomorphic(a, b):
 
 def masks_of(g):
     return [sum(1 << u for u in nbrs) for nbrs in g.adj]
-
-
-def vertex_key(g, v):
-    """_raw_key computed from g.adj with sets and a BFS."""
-    dist = _bfs_raw(g.adj, g.n, v)
-    levels = tuple(dist.count(d) for d in range(1, max(dist) + 1))
-    shared = sorted(len(set(g.adj[v]) & set(g.adj[u])) for u in range(g.n))
-    return levels, tuple(shared)
 
 
 def closed_walks(g, v):
@@ -95,7 +87,7 @@ def check_representative(g, r):
     assert all(len(a) == r for a in g.adj)
     assert g == Graph(g.n, g.edges()) and g.m == g.n * r // 2
     keys = [vertex_key(g, v) for v in range(g.n)]
-    assert keys == [_raw_key(masks_of(g), v) for v in range(g.n)]
+    assert _leaf_keys([masks_of(g)]) == [keys]
     assert keys[0] == min(keys)
     assert keys[1] == min(keys[y] for x in range(g.n) if keys[x] == keys[0]
                           for y in g.adj[x])
@@ -156,7 +148,7 @@ def test_store_keeps_a_labelling_whose_vertex_0_is_not_minimal():
     perm = list(range(8))
     perm[0], perm[top] = top, 0
     relabeled = relabel(g, perm)
-    assert _root_min_keys(8, masks_of(relabeled)) is None
+    assert _leaf_keys([masks_of(relabeled)]) == [None]
     store = _ClassStore(8)
     assert store_add(store, relabeled)
     assert not store_add(store, g)
@@ -180,17 +172,20 @@ def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored,
     # them failing; with it, 389 while each representative's automorphism
     # orbits were searched for as well, and 205 without those searches.
     # Quartic n=10's buckets are nearly pure, so its 198 never moved.
+    # The filter takes leaves in batches, so its count is the sum of the
+    # batch lengths.
     import soltes.enumeration as enumeration
     calls = {"filter": 0, "store": 0, "search": 0}
 
-    def counted(name, fn):
+    def counted(name, fn, weight=lambda args: 1):
         def wrapper(*args):
-            calls[name] += 1
+            calls[name] += weight(args)
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(enumeration, "_root_min_keys",
-                        counted("filter", enumeration._root_min_keys))
+    monkeypatch.setattr(enumeration, "_leaf_keys",
+                        counted("filter", enumeration._leaf_keys,
+                                lambda args: len(args[0])))
     monkeypatch.setattr(enumeration, "_mask_keys",
                         counted("store", enumeration._mask_keys))
     monkeypatch.setattr(enumeration, "_isomorphic",
@@ -244,11 +239,96 @@ def test_filter_drops_a_labelling_whose_vertex_1_is_not_minimal():
     perm = list(range(10))
     perm[1], perm[top] = top, 1
     relabeled = relabel(g, perm)
-    assert _root_min_keys(10, masks_of(g)) is not None
-    assert _root_min_keys(10, masks_of(relabeled)) is None
+    assert _leaf_keys([masks_of(g)]) == [keys]
+    assert _leaf_keys([masks_of(relabeled)]) == [None]
     store = _ClassStore(10)
     assert store_add(store, relabeled)
     assert not store_add(store, g)
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("n,r", [(12, 3), (10, 4)],
+                         ids=["cubic-12", "quartic-10"])
+def test_store_add_sequence_holds_at_any_batch_size(monkeypatch, n, r,
+                                                    batch):
+    # The leaves are filtered in batches, and a flush adds the survivors in
+    # leaf order, so where the batches end cannot move the sequence.
+    # Cubic n=12 has 437 leaves and quartic n=10 1,215: neither splits
+    # evenly into batches of 7 or of the default 64, which
+    # test_store_add_sequence_is_pinned runs.
+    import soltes.enumeration as enumeration
+    monkeypatch.setattr(enumeration, "_LEAF_BATCH", batch)
+    _, digest = hashed_run(monkeypatch, n, r)
+    assert digest == STORE_ADD_DIGESTS[n, r]
+
+
+def labellings(g, rng):
+    """g relabelled at random, and relabelled with a minimal-key vertex 0
+    and a random neighbour of it as vertex 1 (when it has one)."""
+    n = g.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    yield relabel(g, perm)
+    keys = [vertex_key(g, v) for v in range(n)]
+    x = rng.choice([v for v in range(n) if keys[v] == min(keys)])
+    rest = [v for v in range(n) if v != x]
+    rng.shuffle(rest)
+    if g.adj[x]:
+        y = rng.choice(g.adj[x])
+        rest.remove(y)
+        rest.insert(0, y)
+    order = [x] + rest
+    yield relabel(g, [order.index(v) for v in range(n)])
+
+
+def hamiltonian_cycles(vertices, count, rng):
+    """Edges of count edge-disjoint random Hamiltonian cycles on vertices:
+    a 2 * count-regular graph, connected and seldom symmetric."""
+    while True:
+        edges = set()
+        for _ in range(count):
+            order = rng.sample(vertices, len(vertices))
+            edges |= {frozenset(e) for e in zip(order, order[1:] + order[:1])}
+        if len(edges) == count * len(vertices):
+            return [tuple(e) for e in edges]
+
+
+def random_graphs(n, rng):
+    """G(n, p) graphs (irregular, disconnected at low p), unions of random
+    Hamiltonian cycles (regular, connected) and two disjoint cycles of
+    different lengths (regular, disconnected)."""
+    graphs = [Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                        if rng.random() < p]) for p in (0.05, 0.2, 0.6)]
+    for count in (1, 2):
+        if n >= 4 * count + 1:
+            graphs.append(Graph(n, hamiltonian_cycles(range(n), count, rng)))
+    if n >= 7:
+        a = rng.randrange(3, (n + 1) // 2)
+        graphs.append(Graph(n, hamiltonian_cycles(range(a), 1, rng)
+                            + hamiltonian_cycles(range(a, n), 1, rng)))
+    return graphs
+
+
+def test_leaf_keys_match_the_set_oracle_and_the_filter_rules():
+    # One batch per n: its leaves differ in BFS depth, regularity and
+    # connectivity.  The verdict restates the two rules on keys computed
+    # here: no key below vertex 0's, and no neighbour of a vertex with
+    # vertex 0's key below vertex 1's.
+    rng = random.Random(24)
+    seen = set()
+    for n in (1, 2, 3, 4, 5, 7, 9, 12, 16, 23, 31, 40, 52, 63, 64):
+        batch = [h for g in random_graphs(n, rng) for h in labellings(g, rng)]
+        got = _leaf_keys([masks_of(h) for h in batch])
+        assert len(got) == len(batch)
+        for h, raw in zip(batch, got):
+            keys = [vertex_key(h, v) for v in range(n)]
+            passes = (all(key >= keys[0] for key in keys)
+                      and all(keys[y] >= keys[1] for x in range(n)
+                              if keys[x] == keys[0] for y in h.adj[x]))
+            assert raw == (keys if passes else None), n
+            degrees = {len(a) for a in h.adj}
+            seen.add((len(degrees) == 1, is_connected(h), passes))
+    assert len(seen) == 8
 
 
 def test_walk_signature_is_a_relabelling_invariant():
@@ -349,6 +429,14 @@ def test_gen_regular_argument_errors():
         list(gen_regular(3, 3))  # n must exceed r
     with pytest.raises(ValueError):
         list(gen_regular(4, -2))  # negative degree
+    with pytest.raises(ValueError):
+        list(gen_regular(65, 2))  # a leaf's masks must fit in uint64
+
+
+def test_cycle_on_64_vertices_fills_the_mask_width():
+    # vertex 63 sets the top bit of a uint64 mask
+    [g] = gen_regular(64, 2)
+    check_representative(g, 2)
 
 
 def test_emitted_graphs_pairwise_non_isomorphic():
@@ -415,6 +503,31 @@ def test_classify_small_rows_have_no_removable_vertices():
         row = classify_table(n, 3)
         assert row.counts == {}
         assert row.n == n and row.r == 3
+
+
+@pytest.mark.slow
+def test_only_the_11_cycle_row_has_a_one_soltes_class_under_the_caps():
+    # A class is 1-Soltes when every vertex is removable (k = n).  Over
+    # these 32 rows the only one is C_11; the totals are the OEIS counts of
+    # connected regular graphs (A002851 cubic, A006820 quartic, A006821
+    # quintic, A006822 sextic, A014377 septic).
+    totals = {(n, 2): 1 for n in range(3, 13)}
+    totals.update({(4, 3): 1, (6, 3): 2, (8, 3): 5, (10, 3): 19,
+                   (12, 3): 85, (14, 3): 509,
+                   (5, 4): 1, (6, 4): 1, (7, 4): 2, (8, 4): 6, (9, 4): 16,
+                   (10, 4): 59, (11, 4): 265,
+                   (6, 5): 1, (8, 5): 3, (10, 5): 60,
+                   (7, 6): 1, (8, 6): 1, (9, 6): 4, (10, 6): 21,
+                   (8, 7): 1, (10, 7): 5})
+    assert len(totals) == 32
+    one_soltes = []
+    for (n, r), total in totals.items():
+        row = classify_table(n, r)
+        assert row.total == total, (n, r)
+        if n in row.counts:
+            one_soltes.append((n, r))
+    assert one_soltes == [(11, 2)]
+    assert classify_table(11, 2).counts == {11: 1}
 
 
 def test_classify_scale_cap():
