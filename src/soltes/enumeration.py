@@ -42,11 +42,12 @@ there each is passed down, not recomputed.
 
 The filter (_leaf_keys) runs in numpy on a batch of queued leaves: one
 level-synchronous BFS from every vertex of every leaf at once on uint64
-masks, so n is at most 64, and one shared-count product per batch.  The
-generator queues a copy of each leaf's masks and flushes every
-_LEAF_BATCH leaves and once after the search; a flush hands the leaves
-that pass to the class store one by one, in the order they were reached,
-so the store sees the same sequence as with one leaf per call.
+masks, so n is at most 64, one pairwise popcount for the shared counts,
+and both rules as comparisons of byte-string key rows.  The generator
+queues a copy of each leaf's masks and flushes every _LEAF_BATCH leaves
+and once after the search; a flush hands the leaves that pass to the
+class store one by one, in the order they were reached, so the store
+sees the same sequence as with one leaf per call.
 
 The surviving leaves reach _ClassStore, which buckets on the sorted keys
 and runs the package's one isomorphism test (_isomorphic) against stored
@@ -103,20 +104,8 @@ class TableRow:
 _LEAF_BATCH = 64
 
 
-def _below(keys, ref):
-    """Per vertex, whether its key row is below row ref's, lexicographically.
-
-    keys is (leaves, n, width); the first differing column decides, and an
-    equal row is not below.
-    """
-    base = np.broadcast_to(keys[:, ref:ref + 1], keys.shape)
-    first = (keys != base).argmax(axis=2)[..., None]
-    return (np.take_along_axis(keys, first, 2)
-            < np.take_along_axis(base, first, 2))[..., 0]
-
-
 def _leaf_keys(leaves):
-    """Each leaf's vertex keys, or None when its vertex 0 or 1 is not minimal.
+    """Yield each leaf's vertex keys, or None when vertex 0 or 1 is not minimal.
 
     leaves is a list of adjacency-mask lists, all on the same n <= 64
     vertices.  Vertex v's key is (levels, shared): its BFS level sizes
@@ -130,41 +119,52 @@ def _leaf_keys(leaves):
     some neighbour of a vertex whose key equals vertex 0's has a key below
     vertex 1's; either may tie with others.  All vertices of all leaves run
     their BFS together: reach[v] gains the reach of each neighbour per
-    level, and a level's size is the popcount it adds.  The comparisons run
-    on rows of the level sizes, zero-padded to the batch's deepest BFS,
-    then the sorted shared counts.  Padding is exact, since every level
-    size is positive: a shorter profile that agrees so far compares below,
-    as a shorter tuple does.
+    level, and a level's size is the popcount of what it gains.  A key's
+    row holds the level sizes, zero-padded to the batch's deepest BFS, then
+    the sorted shared counts, one byte each (none exceeds 64), and the rows
+    compare as byte strings.  That is the tuple order.  Padding is exact,
+    since every level size is positive: a shorter profile that agrees so
+    far compares below, as a shorter tuple does.  numpy compares byte
+    strings without their trailing zero bytes, which keeps the order of
+    rows of one width.
     """
     n = len(leaves[0])
     masks = np.array(leaves, np.uint64)
     bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    adj = (masks[:, :, None] & bits) != 0
+    adj = (masks[:, :, None] & bits).astype(bool)
     reach = np.broadcast_to(bits, masks.shape)
-    seen = np.ones(masks.shape, np.uint8)
     levels = []
     while True:
-        reach = reach | np.bitwise_or.reduce(
+        nxt = np.bitwise_or.reduce(
             np.where(adj, reach[:, None, :], np.uint64(0)), axis=2)
-        count = np.bitwise_count(reach)
-        if np.array_equal(count, seen):
+        size = np.bitwise_count(nxt & ~reach)
+        if not size.sum():
             break
-        levels.append((count - seen)[..., None])
-        seen = count
+        levels.append(size[..., None])
+        reach = reach | nxt
     shared = np.bitwise_count(masks[:, :, None] & masks[:, None, :])
     shared.sort(axis=2)
     keys = np.concatenate((*levels, shared), axis=2)
-    ok = ~_below(keys, 0).any(axis=1)
+    rows = keys.view(f"S{keys.shape[2]}")[..., 0]
+
+    def below(ref):
+        """Per leaf, the mask of vertices whose key is below vertex ref's."""
+        return np.bitwise_or.reduce(
+            np.where(rows < rows[:, ref:ref + 1], bits, np.uint64(0)), axis=1)
+
+    bad = below(0)
     if n > 1:
-        root = ~(keys != keys[:, :1]).any(axis=2)
-        ok &= ~(adj & root[:, :, None] & _below(keys, 1)[:, None, :]).any(
-            axis=(1, 2))
-    # the tuples are built for the leaves that pass; filter drops exactly
-    # the zero padding, since every level size is positive
+        near = np.bitwise_or.reduce(
+            np.where(rows == rows[:, :1], masks, np.uint64(0)), axis=1)
+        bad |= near & below(1)
+    # a leaf's tuples are built when it is reached, and only when it
+    # passes; filter drops exactly the zero padding, since every level size
+    # is positive
     depth = len(levels)
-    return [[(tuple(filter(None, row[:depth])), tuple(row[depth:]))
-             for row in leaf.tolist()] if keep else None
-            for leaf, keep in zip(keys, ok.tolist())]
+    for leaf, drop in zip(keys, bad.astype(bool).tolist()):
+        yield None if drop else [
+            (tuple(filter(None, row[:depth])), tuple(row[depth:]))
+            for row in leaf.tolist()]
 
 
 def _mask_keys(raw, intern):
