@@ -157,9 +157,8 @@ def _leaf_keys(leaves):
         near = np.bitwise_or.reduce(
             np.where(rows == rows[:, :1], masks, np.uint64(0)), axis=1)
         bad |= near & below(1)
-    # a leaf's tuples are built when it is reached, and only when it
-    # passes; filter drops exactly the zero padding, since every level size
-    # is positive
+    # one leaf's tuples at a time (a whole batch's at once raised peak
+    # memory); filter drops only the zero padding, as no level size is 0
     depth = len(levels)
     for leaf, drop in zip(keys, bad.astype(bool).tolist()):
         yield None if drop else [
