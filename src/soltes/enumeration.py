@@ -49,17 +49,21 @@ and once after the search; a flush hands the leaves that pass to the
 class store one by one, in the order they were reached, so the store
 sees the same sequence as with one leaf per call.
 
-The surviving leaves reach _ClassStore, which buckets on the sorted keys
-and runs the package's one isomorphism test (_isomorphic) against stored
-representatives, so every class of connected r-regular graphs on n
-vertices surfaces exactly once.  Once a bucket holds two representatives,
-most tests there would fail, between different classes, so a second
-invariant comes first: the sorted per-vertex closed-walk counts of
-lengths 3..8 (_walk_signature), and the search runs only against
-representatives with an equal one.  The idea, a cheap invariant before
-the search, is from B. McKay & A. Piperno, "Practical graph isomorphism,
-II", J. Symbolic Comput. 60, 2014.  Classification then counts, per
-class, how many vertices leave the Wiener index unchanged when deleted.
+A passing leaf's key rows also hold each vertex's closed-walk counts
+(A^k)_vv, k = 3..8, from batched products of its adjacency matrices.
+Every vertex's row has the same 2n + 48 bytes: its BFS level sizes,
+zero-padded to n, its sorted shared counts, then the six walk counts as
+uint64, exact since a closed walk of length 8 has at most 63^7 < 2^64
+choices.  The filter reads only the first 2n bytes.  The surviving
+leaves reach _ClassStore, which buckets on the sorted rows and runs the
+package's one isomorphism test (_isomorphic) against the same-bucket
+representatives, mapping a vertex only to one with an equal row, so
+every class of connected r-regular graphs on n vertices surfaces exactly
+once.  The walk counts keep the buckets nearly pure, so few searches
+fail.  The idea, a cheap invariant before the search, is from B. McKay &
+A. Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
+2014.  Classification then counts, per class, how many vertices leave
+the Wiener index unchanged when deleted.
 """
 
 from __future__ import annotations
@@ -105,47 +109,51 @@ _LEAF_BATCH = 64
 
 
 def _leaf_keys(leaves):
-    """Yield each leaf's vertex keys, or None when vertex 0 or 1 is not minimal.
+    """Yield each leaf's key rows, or None when vertex 0 or 1 is not minimal.
 
     leaves is a list of adjacency-mask lists, all on the same n <= 64
-    vertices.  Vertex v's key is (levels, shared): its BFS level sizes
-    (vertices at distance 1, 2, ... within its component), then |N(v) ∩
-    N(u)| over every u, sorted (u = v contributes the degree).  Together
-    they separate most vertices of same-degree graphs, which keeps the
-    class store's search cheap and its buckets nearly pure.  Keys are
-    isomorphism invariants and compare as tuples.
+    vertices.  Vertex v's key row is 2n + 48 bytes:
+    - its BFS level sizes (vertices at distance 1, 2, ... within its
+      component), zero-padded to n bytes;
+    - |N(v) ∩ N(u)| over every u, sorted (u = v contributes the degree);
+    - its closed-walk counts (A^k)_vv for k = 3..8, big-endian uint64.
+    No size or shared count exceeds 63, and a closed walk of length 8 has
+    at most Δ^7 <= 63^7 < 2^64 choices, so every field is exact.  The rows
+    are isomorphism invariants; they separate most vertices of same-degree
+    graphs and most same-degree graphs, which keeps the class store's
+    search cheap and its buckets nearly pure.  A leaf that passes comes
+    back as its n rows in vertex order, joined into one bytes string.
 
-    A leaf is dropped when some vertex's key is below vertex 0's, or when
-    some neighbour of a vertex whose key equals vertex 0's has a key below
-    vertex 1's; either may tie with others.  All vertices of all leaves run
-    their BFS together: reach[v] gains the reach of each neighbour per
-    level, and a level's size is the popcount of what it gains.  A key's
-    row holds the level sizes, zero-padded to the batch's deepest BFS, then
-    the sorted shared counts, one byte each (none exceeds 64), and the rows
-    compare as byte strings.  That is the tuple order.  Padding is exact,
-    since every level size is positive: a shorter profile that agrees so
-    far compares below, as a shorter tuple does.  numpy compares byte
-    strings without their trailing zero bytes, which keeps the order of
-    rows of one width.
+    A leaf is dropped when some vertex's key (the first 2n bytes of its
+    row) is below vertex 0's, or when some neighbour of a vertex whose key
+    equals vertex 0's has a key below vertex 1's; either may tie with
+    others.  All vertices of all leaves run their BFS together: reach[v]
+    gains the reach of each neighbour per level, and a level's size is the
+    popcount of what it gains.  The keys compare as byte strings, in the
+    order of the tuple (levels, shared): padding is exact, since every
+    level size is positive, so a shorter profile that agrees so far
+    compares below, as a shorter tuple does.  numpy compares byte strings
+    without their trailing zero bytes, which keeps the order of keys of
+    one width.  Only the leaves that pass get walk counts.
     """
     n = len(leaves[0])
     masks = np.array(leaves, np.uint64)
     bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
     adj = (masks[:, :, None] & bits).astype(bool)
     reach = np.broadcast_to(bits, masks.shape)
-    levels = []
-    while True:
+    keys = np.zeros((*masks.shape, 2 * n), np.uint8)
+    for depth in range(n):
         nxt = np.bitwise_or.reduce(
             np.where(adj, reach[:, None, :], np.uint64(0)), axis=2)
         size = np.bitwise_count(nxt & ~reach)
-        if not size.sum():
+        if not size.any():
             break
-        levels.append(size[..., None])
+        keys[..., depth] = size
         reach = reach | nxt
     shared = np.bitwise_count(masks[:, :, None] & masks[:, None, :])
     shared.sort(axis=2)
-    keys = np.concatenate((*levels, shared), axis=2)
-    rows = keys.view(f"S{keys.shape[2]}")[..., 0]
+    keys[..., n:] = shared
+    rows = keys.view(f"S{2 * n}")[..., 0]
 
     def below(ref):
         """Per leaf, the mask of vertices whose key is below vertex ref's."""
@@ -157,29 +165,29 @@ def _leaf_keys(leaves):
         near = np.bitwise_or.reduce(
             np.where(rows == rows[:, :1], masks, np.uint64(0)), axis=1)
         bad |= near & below(1)
-    # one leaf's tuples at a time (a whole batch's at once raised peak
-    # memory); filter drops only the zero padding, as no level size is 0
-    depth = len(levels)
-    for leaf, drop in zip(keys, bad.astype(bool).tolist()):
-        yield None if drop else [
-            (tuple(filter(None, row[:depth])), tuple(row[depth:]))
-            for row in leaf.tolist()]
+    drop = bad.astype(bool)
+    a = adj[~drop].astype(np.uint64)
+    walks = a @ a
+    counts = []
+    for _ in range(6):
+        walks = walks @ a
+        counts.append(np.diagonal(walks, axis1=1, axis2=2))
+    walk_bytes = np.stack(counts, axis=2).astype(">u8").view(np.uint8)
+    kept = iter(np.concatenate((keys[~drop], walk_bytes), axis=2))
+    for dropped in drop.tolist():
+        yield None if dropped else next(kept).tobytes()
 
 
-def _mask_keys(raw, intern):
-    """Each vertex's key from _leaf_keys, interned through the shared dict.
+def _mask_keys(raw, n, intern):
+    """The n key rows in raw, each interned through the shared dict.
 
-    Interned ids compare and hash in one step but depend on arrival order,
-    so only equality between them means anything.
+    raw is one leaf's rows as _leaf_keys gives them.  Equal rows of
+    different leaves come back as one bytes object, which the stored
+    entries then share.
     """
-    keys = []
-    for key in raw:
-        kid = intern.get(key)
-        if kid is None:
-            kid = len(intern)
-            intern[key] = kid
-        keys.append(kid)
-    return keys
+    width = len(raw) // n
+    return [intern.setdefault(key, key)
+            for key in (raw[i:i + width] for i in range(0, len(raw), width))]
 
 
 def _isomorphic(n, a1, keys1, a2, keys2):
@@ -240,40 +248,15 @@ def _isomorphic(n, a1, keys1, a2, keys2):
     return image if found else None
 
 
-def _walk_signature(n, masks):
-    """Sorted per-vertex closed-walk counts: the tuples (A^k)_vv, k = 3..8.
-
-    A relabelling permutes the vertices and so only reorders the tuples:
-    the sorted list is an isomorphism invariant.  A is unpacked from the
-    masks bytewise, so any n fits.  The counts are uint64 sums, which wrap
-    modulo 2^64 by definition; a walk of length 8 between two given
-    vertices has at most Δ^7 choices, so they are exact integers while
-    every degree Δ is at most 565, and an invariant at any degree.
-    """
-    width = (n + 7) // 8
-    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
-                         np.uint8).reshape(n, width)
-    a = np.unpackbits(rows, axis=1, count=n,
-                      bitorder="little").astype(np.uint64)
-    walks = a @ a
-    counts = []
-    for _ in range(6):
-        walks = walks @ a
-        counts.append(walks.diagonal().tolist())
-    return sorted(zip(*counts))
-
-
 class _ClassStore:
     """The classes seen so far, one adjacency-mask representative each.
 
-    Representatives are bucketed on their sorted _mask_keys, so a new graph
-    runs _isomorphic only against the same-bucket representatives.  Once a
-    bucket holds two, most of those tests would fail, between different
-    classes.  The new graph and each representative then get their
-    _walk_signature (a representative's once, when first needed), and a
-    representative with a different one is skipped untested: isomorphic
-    graphs have equal signatures, so it cannot be the new graph's class.
-    An entry is [masks, keys, signature], the last None until computed.
+    Representatives are bucketed on their sorted key rows (_mask_keys), so
+    a new graph runs _isomorphic only against the same-bucket
+    representatives, and maps a vertex only to one with an equal row.
+    The rows hold each vertex's closed-walk counts as well as its filter
+    key, so a bucket seldom holds two classes (no cubic n = 12 bucket
+    does), and few searches fail.  An entry is (masks, keys).
     """
 
     __slots__ = ("n", "buckets", "intern")
@@ -286,22 +269,15 @@ class _ClassStore:
     def add(self, masks, raw):
         """True, and a copy of masks is stored, when its class is new.
 
-        raw lists each vertex's key in masks, as _leaf_keys gives it.
+        raw is the leaf's key rows in masks, as _leaf_keys gives them.
         """
         n = self.n
-        keys = _mask_keys(raw, self.intern)
+        keys = _mask_keys(raw, n, self.intern)
         bucket = self.buckets.setdefault(tuple(sorted(keys)), [])
-        sig = _walk_signature(n, masks) if len(bucket) > 1 else None
-        for held in bucket:
-            held_masks, held_keys, held_sig = held
-            if sig is not None:
-                if held_sig is None:
-                    held_sig = held[2] = _walk_signature(n, held_masks)
-                if held_sig != sig:
-                    continue
+        for held_masks, held_keys in bucket:
             if _isomorphic(n, masks, keys, held_masks, held_keys):
                 return False
-        bucket.append([masks.copy(), keys, sig])
+        bucket.append((masks.copy(), keys))
         return True
 
 
@@ -418,6 +394,9 @@ def gen_regular(n, r):
     del rec  # the same cycle as place in _isomorphic
     if pending:
         flush()
+    # the store is not needed past the search: free it before the caller
+    # (classify_table) runs a report on each class
+    del store
     yield from found
 
 

@@ -16,11 +16,34 @@ def vertex_key(g, v):
     return levels, tuple(shared)
 
 
+def closed_walks(g, v):
+    """(A^k)_vv for k = 3..8, counted on g.adj with Python ints."""
+    walks = [0] * g.n
+    walks[v] = 1
+    counts = []
+    for k in range(1, 9):
+        walks = [sum(walks[u] for u in g.adj[w]) for w in range(g.n)]
+        if k >= 3:
+            counts.append(walks[v])
+    return tuple(counts)
+
+
+def key_rows(g):
+    """g's key rows as the generator's leaf filter gives them for a leaf
+    that passes: per vertex, vertex_key's level sizes zero-padded to n
+    bytes and its shared counts, then closed_walks as big-endian uint64."""
+    rows = b""
+    for v in range(g.n):
+        levels, shared = vertex_key(g, v)
+        rows += bytes(levels + (0,) * (g.n - len(levels)) + shared)
+        rows += b"".join(c.to_bytes(8, "big") for c in closed_walks(g, v))
+    return rows
+
+
 def leaf(g):
-    """(adjacency masks, vertex keys) of g, as the generator's leaf hands
+    """(adjacency masks, key rows) of g, as the generator's leaf hands
     them to the class store."""
-    masks = [sum(1 << u for u in nbrs) for nbrs in g.adj]
-    return masks, [vertex_key(g, v) for v in range(g.n)]
+    return [sum(1 << u for u in nbrs) for nbrs in g.adj], key_rows(g)
 
 
 @pytest.fixture

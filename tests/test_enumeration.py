@@ -3,14 +3,16 @@
 import gc
 import hashlib
 import itertools
+import os
 import random
+import weakref
 
 import pytest
 
-from conftest import vertex_key
+from conftest import closed_walks, key_rows, leaf, vertex_key
 from soltes.core import Graph, is_connected, profile
 from soltes.enumeration import (TableRow, _ClassStore, _leaf_keys,
-                                _walk_signature, classify_table, gen_regular)
+                                classify_table, gen_regular)
 from soltes.families import complete
 
 
@@ -29,24 +31,20 @@ def masks_of(g):
     return [sum(1 << u for u in nbrs) for nbrs in g.adj]
 
 
-def closed_walks(g, v):
-    """(A^k)_vv for k = 3..8, counted on g.adj with Python ints."""
-    walks = [0] * g.n
-    walks[v] = 1
-    counts = []
-    for k in range(1, 9):
-        walks = [sum(walks[u] for u in g.adj[w]) for w in range(g.n)]
-        if k >= 3:
-            counts.append(walks[v])
-    return tuple(counts)
-
-
 def walk_signature(g):
     return sorted(closed_walks(g, v) for v in range(g.n))
 
 
+def walk_columns(raw, n):
+    """Each vertex's closed-walk counts, read back from _leaf_keys' rows."""
+    width = len(raw) // n
+    return [tuple(int.from_bytes(raw[i + j:i + j + 8], "big")
+                  for j in range(2 * n, width, 8))
+            for i in range(0, len(raw), width)]
+
+
 def store_add(store, g):
-    return store.add(masks_of(g), [vertex_key(g, v) for v in range(g.n)])
+    return store.add(*leaf(g))
 
 
 def relabel(g, perm):
@@ -87,7 +85,7 @@ def check_representative(g, r):
     assert all(len(a) == r for a in g.adj)
     assert g == Graph(g.n, g.edges()) and g.m == g.n * r // 2
     keys = [vertex_key(g, v) for v in range(g.n)]
-    assert list(_leaf_keys([masks_of(g)])) == [keys]
+    assert list(_leaf_keys([masks_of(g)])) == [key_rows(g)]
     assert keys[0] == min(keys)
     assert keys[1] == min(keys[y] for x in range(g.n) if keys[x] == keys[0]
                           for y in g.adj[x])
@@ -155,7 +153,7 @@ def test_store_keeps_a_labelling_whose_vertex_0_is_not_minimal():
 
 
 @pytest.mark.parametrize("n,r,leaves,stored,searches",
-                         [(12, 3, 437, 280, 205), (10, 4, 1215, 256, 198)],
+                         [(12, 3, 437, 280, 195), (10, 4, 1215, 256, 197)],
                          ids=["cubic-12", "quartic-10"])
 def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored,
                                 searches):
@@ -168,10 +166,12 @@ def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored,
     # 1,692 and 524; with no cut or filter at all, all 2,999 leaves of
     # cubic n=12 reached the store.
     # The third count is the store's _isomorphic calls.  Without the
-    # walk-signature filter in shared buckets, cubic n=12 made 494, 261 of
-    # them failing; with it, 389 while each representative's automorphism
-    # orbits were searched for as well, and 205 without those searches.
-    # Quartic n=10's buckets are nearly pure, so its 198 never moved.
+    # closed-walk counts, cubic n=12 made 494, 261 of them failing; with
+    # them compared per bucket, 389 while each representative's
+    # automorphism orbits were searched for as well, and 205 without those
+    # searches (10 failing; quartic n=10 made 198, 1 failing).  With the
+    # counts in each vertex's key row, the buckets are pure and a vertex
+    # maps only to one with its counts: 195 and 197, none failing.
     # The filter takes leaves in batches, so its count is the sum of the
     # batch lengths.
     import soltes.enumeration as enumeration
@@ -194,13 +194,13 @@ def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored,
     assert calls == {"filter": leaves, "store": stored, "search": searches}
 
 
-# sha256 over repr((masks, raw)) of every leaf that reaches the class
-# store, in order
+# sha256 over repr(masks) of every leaf that reaches the class store, in
+# order (the key rows are a function of the masks)
 STORE_ADD_DIGESTS = {
-    (12, 3): "211db64c384d12833e4f78ce31b85c6b"
-             "75301c0f94d724c501b4a4a0e055ed53",
-    (10, 4): "d2157b018377864bfaed563fcf059c95"
-             "e5e67c8e40fad76ce30d03f4a1e0dbce",
+    (12, 3): "ebfbf1805dbbbfad67f3770d5d16bd79"
+             "285f287c89b46bf49044927eada1330f",
+    (10, 4): "94a629168d234c78c7c543ebb2d28f3b"
+             "ed1741ebf5eb25e311d34fa18fc1284a",
 }
 
 
@@ -210,7 +210,7 @@ def hashed_run(monkeypatch, n, r):
     h = hashlib.sha256()
 
     def hashed(self, masks, raw):
-        h.update(repr((masks, raw)).encode())
+        h.update(repr(masks).encode())
         return add(self, masks, raw)
 
     monkeypatch.setattr(_ClassStore, "add", hashed)
@@ -239,7 +239,7 @@ def test_filter_drops_a_labelling_whose_vertex_1_is_not_minimal():
     perm = list(range(10))
     perm[1], perm[top] = top, 1
     relabeled = relabel(g, perm)
-    assert list(_leaf_keys([masks_of(g)])) == [keys]
+    assert list(_leaf_keys([masks_of(g)])) == [key_rows(g)]
     assert list(_leaf_keys([masks_of(relabeled)])) == [None]
     store = _ClassStore(10)
     assert store_add(store, relabeled)
@@ -325,25 +325,41 @@ def test_leaf_keys_match_the_set_oracle_and_the_filter_rules():
             passes = (all(key >= keys[0] for key in keys)
                       and all(keys[y] >= keys[1] for x in range(n)
                               if keys[x] == keys[0] for y in h.adj[x]))
-            assert raw == (keys if passes else None), n
+            assert raw == (key_rows(h) if passes else None), n
             degrees = {len(a) for a in h.adj}
             seen.add((len(degrees) == 1, is_connected(h), passes))
     assert len(seen) == 8
 
 
-def test_walk_signature_is_a_relabelling_invariant():
+def passing_labelling(g, rng):
+    """g relabelled at random among the labellings that pass the leaf
+    filter: vertex 0 of minimal key, next to a vertex 1 of minimal key
+    among the neighbours of all minimal-key vertices."""
+    keys = [vertex_key(g, v) for v in range(g.n)]
+    low = [x for x in range(g.n) if keys[x] == min(keys)]
+    k1 = min(keys[y] for x in low for y in g.adj[x])
+    x, y = rng.choice([(x, y) for x in low for y in g.adj[x]
+                       if keys[y] == k1])
+    rest = [v for v in range(g.n) if v not in (x, y)]
+    rng.shuffle(rest)
+    order = [x, y] + rest
+    return relabel(g, [order.index(v) for v in range(g.n)])
+
+
+def test_walk_columns_are_a_relabelling_invariant():
     rook, shrikhande = rook_and_shrikhande()
     graphs = [prism(), k33(), petersen(), rook, shrikhande]
     graphs += [g for n in (4, 6, 8, 10, 12) for g in gen_regular(n, 3)]
     assert len(graphs) == 117
     rng = random.Random(17)
-    for g in graphs:
-        sig = _walk_signature(g.n, masks_of(g))
-        assert sig == walk_signature(g)
-        for _ in range(3):
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            assert _walk_signature(g.n, masks_of(relabel(g, perm))) == sig
+    for n in sorted({g.n for g in graphs}):
+        same_n = [g for g in graphs if g.n == n]
+        batch = [passing_labelling(g, rng) for g in same_n for _ in range(3)]
+        got = list(_leaf_keys([masks_of(h) for h in batch]))
+        for i, (h, raw) in enumerate(zip(batch, got)):
+            assert raw == key_rows(h)
+            assert sorted(walk_columns(raw, n)) == \
+                walk_signature(same_n[i // 3])
     # triangles split the prism from K_{3,3}; the rook's graph and the
     # Shrikhande graph are cospectral and walk-regular, so only the search
     # splits them
@@ -351,28 +367,29 @@ def test_walk_signature_is_a_relabelling_invariant():
     assert walk_signature(rook) == walk_signature(shrikhande)
 
 
-def test_walk_signature_counts_are_exact_past_64_vertices():
-    # masks past bit 63 overflow an int64; the counts pass 2^32 on
-    # G(80, 1/2) and 2^53, where a float would round, on K_200
-    rng = random.Random(80)
-    g = Graph(80, [(u, v) for u in range(80) for v in range(u + 1, 80)
-                   if rng.random() < 0.5])
-    sig = _walk_signature(80, masks_of(g))
-    assert sig == walk_signature(g) and sig[-1][-1] > 2 ** 32
-    per_vertex = tuple((199 ** k + 199 * (-1) ** k) // 200
-                       for k in range(3, 9))
-    assert _walk_signature(200, masks_of(complete(200))) == [per_vertex] * 200
-    assert per_vertex[-1] > 2 ** 53
+def test_walk_columns_are_exact_on_k64():
+    # the largest degree a leaf's masks allow: every walk column is
+    # (63^k + 63(-1)^k) / 64, and the length-8 count passes 2^32
+    [raw] = _leaf_keys([masks_of(complete(64))])
+    per_vertex = tuple((63 ** k + 63 * (-1) ** k) // 64 for k in range(3, 9))
+    assert walk_columns(raw, 64) == [per_vertex] * 64
+    assert per_vertex[-1] > 2 ** 32
 
 
 @pytest.mark.parametrize("n,r,classes", [(12, 3, 85), (10, 4, 59)],
                          ids=["cubic-12", "quartic-10"])
-def test_store_without_the_signature_filter(monkeypatch, n, r, classes):
-    # A constant signature sends every representative of a shared bucket
-    # to the search: the same leaves reach the store, and the search alone
-    # keeps the classes apart.
-    import soltes.enumeration as enumeration
-    monkeypatch.setattr(enumeration, "_walk_signature", lambda n, masks: ())
+def test_store_without_the_walk_columns(monkeypatch, n, r, classes):
+    # Rows cut to the filter's keys share buckets between classes and let
+    # a vertex map to any with its key: the same leaves reach the store,
+    # and the search alone keeps the classes apart.
+    add = _ClassStore.add
+
+    def cut(self, masks, raw):
+        width = len(raw) // n
+        return add(self, masks, b"".join(raw[i:i + 2 * n] for i in
+                                         range(0, len(raw), width)))
+
+    monkeypatch.setattr(_ClassStore, "add", cut)
     graphs, digest = hashed_run(monkeypatch, n, r)
     assert len(graphs) == classes
     assert digest == STORE_ADD_DIGESTS[n, r]
@@ -383,9 +400,10 @@ def test_store_without_the_signature_filter(monkeypatch, n, r, classes):
 
 
 def test_store_rejects_relabellings_in_mixed_buckets():
-    # Cubic n=12 has 10 buckets with two to four classes; a relabelling
-    # that lands in one of them is tested only against the representatives
-    # with its walk signature.
+    # On the filter's keys alone, cubic n=12 has 10 buckets with two to
+    # four classes.  The walk columns split all of them, so a relabelling
+    # lands in its own class's bucket; the rook's graph and the Shrikhande
+    # graph still share one (test_isomorphism_test_separates_same_bucket_pair).
     graphs = list(gen_regular(12, 3))
     store = _ClassStore(12)
     assert all(store_add(store, g) for g in graphs)
@@ -396,10 +414,7 @@ def test_store_rejects_relabellings_in_mixed_buckets():
             rng.shuffle(perm)
             assert not store_add(store, relabel(g, perm))
     assert sum(map(len, store.buckets.values())) == 85
-    mixed = [b for b in store.buckets.values() if len(b) > 1]
-    assert len(mixed) == 10
-    for bucket in mixed:
-        assert all(held[2] is not None for held in bucket)
+    assert len(store.buckets) == 85  # no mixed bucket
 
 
 def test_search_leaves_no_cyclic_garbage():
@@ -414,6 +429,31 @@ def test_search_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_gen_regular_frees_its_store_before_the_first_class(monkeypatch):
+    # classify_table runs a report on each class while the generator is
+    # suspended, so the store's buckets must not stay reachable from it
+    import soltes.enumeration as enumeration
+    stores = []
+
+    class Store(_ClassStore):
+        def __init__(self, n):
+            super().__init__(n)
+            stores.append(weakref.ref(self))
+
+    monkeypatch.setattr(enumeration, "_ClassStore", Store)
+    graphs = gen_regular(10, 3)
+    next(graphs)
+    [store] = stores
+    assert store() is None
+
+
+@pytest.mark.skipif(not os.environ.get("SOLTES_EXTENDED"),
+                    reason="cubic n=18 census; set SOLTES_EXTENDED=1")
+def test_cubic_18_count():
+    # OEIS A002851, two rows past the cubic scale cap of classify_table
+    assert sum(1 for _ in gen_regular(18, 3)) == 41301
 
 
 def test_r0_has_one_connected_graph():
@@ -494,8 +534,6 @@ def test_isomorphism_test_separates_same_bucket_pair():
             assert not store_add(store, relabel(g, perm))
     [bucket] = store.buckets.values()
     assert len(bucket) == 2
-    # the signature filter passes both representatives to the search
-    assert bucket[0][2] == bucket[1][2] == walk_signature(rook)
 
 
 def test_classify_small_rows_have_no_removable_vertices():
