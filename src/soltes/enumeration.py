@@ -23,6 +23,19 @@ partner), and the prefix is v's component.  When it holds no unsaturated
 vertex yet is not all n, it is a closed proper component, and the branch
 is cut there in O(1).  Every leaf is connected.
 
+Two more cuts end dead ends, branches that hold no leaf, so the leaves
+reach the filter in the same order.  Every vertex below v is saturated,
+and v moves on only once it is saturated, so v's remaining partners lie
+above v: unsaturated touched non-neighbours of v, or untouched vertices,
+which can be taken one at a time as each becomes the fresh vertex.  So a
+new v whose deficit exceeds the count of both is refused at once, before
+the second-level cut below pays for its tests.  And after partner u, the
+candidates left above u are all that v would have left in the child, bar
+one new fresh vertex when u was fresh and the prefix is not yet all n;
+when v still needs a partner and has none, u is skipped.  On cubic n = 14
+the two cuts take the search from 94,987 nodes to 84,224, on quartic
+n = 11 from 213,917 to 170,209.
+
 At a leaf each vertex has an invariant key (BFS level sizes, then sorted
 shared-neighbour counts), and the leaf filter drops the leaf when some
 vertex's key is below vertex 0's, or when some neighbour of a vertex with
@@ -324,6 +337,12 @@ def gen_regular(n, r):
         v = (unsat & -unsat).bit_length() - 1 if unsat else n
         if v != prev:
             lo = v + 1
+            # v's partners lie above v: unsaturated touched non-neighbours,
+            # or untouched vertices, taken one at a time as each is fresh
+            if v < n and r - adjm[v].bit_count() > (
+                    unsat & touched & ~adjm[v] & -(2 << v)).bit_count() \
+                    + n - touched.bit_count():
+                return
             # 0..v-1 are saturated.  x's second level is final from where
             # v first passes its closed neighbourhood: near holds prev..v-1
             # and their neighbours below v.  The leaf runs this as v = n.
@@ -368,6 +387,11 @@ def gen_regular(n, r):
         while cand:
             b = cand & -cand
             cand ^= b
+            nt = touched | b
+            # cand is what v would have left above u, bar one new fresh
+            # vertex when u is fresh: with none, v is stranded
+            if not vsat and not cand and (b & touched or nt == full):
+                continue
             u = b.bit_length() - 1
             # identical masks make u and the earlier vertex swappable by a
             # transposition automorphism, so that branch already covers
@@ -381,7 +405,6 @@ def gen_regular(n, r):
             nu = unsat ^ vbit if vsat else unsat
             if au.bit_count() + 1 == r:
                 nu ^= b
-            nt = touched | b
             # touched is v's component: cut it once closed short of full
             if nu & nt or nt == full:
                 adjm[v] = av | b
