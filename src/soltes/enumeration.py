@@ -77,9 +77,32 @@ fail.  The idea, a cheap invariant before the search, is from B. McKay &
 A. Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
 2014.  Classification then counts, per class, how many vertices leave
 the Wiener index unchanged when deleted.
+
+The search is split into shards, one per CPU the process may run on
+(os.sched_getaffinity; one where that is absent), in the way of the
+res/mod split of nauty's geng.  Every root-to-leaf path crosses exactly
+one node where v first reaches n // 2.  These nodes are numbered in DFS
+order, and shard s searches below node i only when i % shards == s; the
+part above them, which every shard runs, is under 1 % of the nodes
+(0.25 % on cubic n = 16).  Each shard filters its own leaves into a store
+of its own and keeps those that are new there, with their node numbers.
+Shards 1.. run in forked children, which send those leaves down a pipe
+as uint64 words and exit; the parent runs shard 0, reaps every child,
+sorts the leaves by node number, recomputes their key rows and adds them
+to one store.  A class's first passing leaf in DFS order is also the
+first of its class within its own shard, so the merged store meets it
+before any other leaf of its class: the classes, their representatives
+and their order are those of one shard, which is the plain search, with
+its store as the only one and no fork.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+import traceback
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -294,32 +317,38 @@ class _ClassStore:
         return True
 
 
-def gen_regular(n, r):
-    """Yield one representative per class of connected r-regular graphs."""
-    if r < 0:
-        raise ValueError(f"degree r={r} is negative")
-    if n <= r:
-        raise ValueError("need n > r")
-    if n > 64:
-        raise ValueError(f"n={n} exceeds 64, the width of a leaf's masks")
-    if (n * r) % 2:
-        raise ValueError(f"no {r}-regular graph on {n} vertices: odd n*r")
-    if r == 0 and n > 1:
-        return  # n isolated vertices: no connected graph
+def _shards():
+    """How many shards gen_regular splits its search into: one per CPU that
+    this process may run on, or 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
 
+
+def _search(n, r, shards, shard):
+    """Run the search in shard's subtrees; the leaves new to its own store.
+
+    The subtrees hang from the nodes where v first reaches n // 2, numbered
+    in DFS order, and shard owns those whose number is shard modulo shards.
+    Every leaf lies in exactly one of them.  Its passing leaves go to a
+    store of its own, and each that is new there comes back as (subtree
+    number, masks), in DFS order.
+    """
     adjm = [0] * n
     store = _ClassStore(n)
-    found = []
-    pending = []
+    kept = []
+    pending = []  # (subtree number, masks) of the queued leaves
     full = (1 << n) - 1
+    split = n // 2
+    subtree = -1
 
     def flush():
         """Filter the queued leaves and add the survivors, in leaf order."""
-        for masks, raw in zip(pending, _leaf_keys(pending)):
-            if raw is not None and store.add(masks, raw):
-                found.append(Graph._from_adj(tuple(
-                    tuple(b for b in range(n) if a >> b & 1)
-                    for a in masks)))
+        leaves = [masks for _, masks in pending]
+        for leaf, raw in zip(pending, _leaf_keys(leaves)):
+            if raw is not None and store.add(leaf[1], raw):
+                kept.append(leaf)
         pending.clear()
 
     def second_level(x):
@@ -334,6 +363,7 @@ def gen_regular(n, r):
 
     def rec(prev, lo, unsat, touched, s0, s1):
         # s0, s1: vertex 0's and vertex 1's final second levels, or -1
+        nonlocal subtree
         v = (unsat & -unsat).bit_length() - 1 if unsat else n
         if v != prev:
             lo = v + 1
@@ -374,8 +404,12 @@ def gen_regular(n, r):
                                 return
                 if adjm[1] < top:
                     s1 = t1
+            if prev < split <= v:
+                subtree += 1
+                if subtree % shards != shard:
+                    return
             if v == n:
-                pending.append(adjm.copy())
+                pending.append((subtree, adjm.copy()))
                 if len(pending) >= _LEAF_BATCH:
                     flush()
                 return
@@ -417,10 +451,112 @@ def gen_regular(n, r):
     del rec  # the same cycle as place in _isomorphic
     if pending:
         flush()
-    # the store is not needed past the search: free it before the caller
-    # (classify_table) runs a report on each class
-    del store
-    yield from found
+    return kept
+
+
+def _send(wfd, n, r, shards, shard):
+    """In a forked child: write shard's leaves to the pipe wfd, and exit.
+
+    The pipe carries native uint64 words: the leaf count, then each leaf's
+    subtree number and masks.  The exit code is 0 once all are written,
+    and 1 after any exception, whose traceback goes to stderr; the child
+    never returns into its caller's frames.
+    """
+    code = 1
+    try:
+        kept = _search(n, r, shards, shard)
+        rows = np.array([[sub, *masks] for sub, masks in kept], np.uint64)
+        with open(wfd, "wb") as pipe:
+            pipe.write(np.uint64(len(kept)).tobytes() + rows.tobytes())
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def _sharded(n, r, shards):
+    """The classes' masks from the search split into shards, in DFS order.
+
+    Shards 1..shards-1 run in forked children; this process runs shard 0,
+    reads each child's leaves and reaps it.  A child that exits non-zero
+    or sends short data raises RuntimeError, and on any exception the
+    children not yet reaped are killed and reaped.  The leaves are then
+    merged by subtree number, their key rows recomputed a batch at a time,
+    and added to one store.
+    """
+    children = []  # (pid, read end of its pipe) of each child not reaped
+    leaf_bytes = 8 * (n + 1)  # a leaf on a pipe: its subtree and masks
+    try:
+        for shard in range(1, shards):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _send(wfd, n, r, shards, shard)
+            os.close(wfd)
+            children.append((pid, open(rfd, "rb")))
+        parts = [_search(n, r, shards, 0)]
+        for shard in range(1, shards):
+            pid, pipe = children[0]
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                raise RuntimeError(
+                    f"census shard {shard} exited with code {code}")
+            words = np.frombuffer(data, np.uint64, len(data) // 8)
+            if not words.size or len(data) != 8 + int(words[0]) * leaf_bytes:
+                raise RuntimeError(
+                    f"census shard {shard} sent {len(data)} bytes, short of "
+                    f"its leaves")
+            parts.append([(row[0], row[1:]) for row in
+                          words[1:].reshape(-1, n + 1).tolist()])
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    leaves = sorted(chain.from_iterable(parts), key=itemgetter(0))
+    store = _ClassStore(n)
+    found = []
+    for start in range(0, len(leaves), _LEAF_BATCH):
+        batch = [masks for _, masks in leaves[start:start + _LEAF_BATCH]]
+        for masks, raw in zip(batch, _leaf_keys(batch)):
+            if store.add(masks, raw):
+                found.append(masks)
+    return found
+
+
+def gen_regular(n, r):
+    """Yield one representative per class of connected r-regular graphs.
+
+    The search runs in _shards() shards, all but the first in forked
+    children that have exited before the first class is yielded.  The
+    classes, their representatives and their order do not depend on the
+    shard count.
+    """
+    if r < 0:
+        raise ValueError(f"degree r={r} is negative")
+    if n <= r:
+        raise ValueError("need n > r")
+    if n > 64:
+        raise ValueError(f"n={n} exceeds 64, the width of a leaf's masks")
+    if (n * r) % 2:
+        raise ValueError(f"no {r}-regular graph on {n} vertices: odd n*r")
+    if r == 0 and n > 1:
+        return  # n isolated vertices: no connected graph
+    shards = _shards()
+    if shards == 1:
+        found = [masks for _, masks in _search(n, r, 1, 0)]
+    else:
+        found = _sharded(n, r, shards)
+    # the stores are freed by here, before the caller (classify_table)
+    # runs a report on each class
+    for masks in found:
+        yield Graph._from_adj(tuple(
+            tuple(b for b in range(n) if a >> b & 1) for a in masks))
 
 
 def classify_table(n, r) -> TableRow:

@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 
+import soltes.enumeration as enumeration
 from conftest import closed_walks, key_rows, leaf, vertex_key
 from soltes.core import Graph, is_connected, profile
 from soltes.enumeration import (TableRow, _ClassStore, _leaf_keys,
@@ -45,6 +46,13 @@ def walk_columns(raw, n):
 
 def store_add(store, g):
     return store.add(*leaf(g))
+
+
+def at_shards(monkeypatch, shards):
+    """Split gen_regular's search into this many shards.  The pins on what
+    reaches the filter and the store count calls in this process, so they
+    run at one shard, where the search is a single pass."""
+    monkeypatch.setattr(enumeration, "_shards", lambda: shards)
 
 
 def relabel(g, perm):
@@ -178,7 +186,7 @@ def test_leaf_counts_are_pinned(monkeypatch, n, r, leaves, stored,
     # cubic n=14 went from 94,987 nodes to 84,224 and quartic n=11 from
     # 213,917 to 170,209, while all three counts here stayed 437/280/195
     # and 1,215/256/197 (FILTER_DIGESTS pins the leaves themselves).
-    import soltes.enumeration as enumeration
+    at_shards(monkeypatch, 1)
     calls = {"filter": 0, "store": 0, "search": 0}
 
     def counted(name, fn, weight=lambda args: 1):
@@ -219,7 +227,9 @@ FILTER_DIGESTS = {
 
 
 def hashed_run(monkeypatch, n, r):
-    """gen_regular(n, r)'s classes and the sha256 of its store adds."""
+    """gen_regular(n, r)'s classes and the sha256 of its store adds, at
+    one shard."""
+    at_shards(monkeypatch, 1)
     add = _ClassStore.add
     h = hashlib.sha256()
 
@@ -246,7 +256,7 @@ def test_store_add_sequence_is_pinned(monkeypatch, n, r):
 def test_filter_leaf_sequence_is_pinned(monkeypatch, n, r):
     # A cut in the search may remove only branches that hold no leaf, so
     # every leaf still reaches the filter, in the same order.
-    import soltes.enumeration as enumeration
+    at_shards(monkeypatch, 1)
     leaf_keys = enumeration._leaf_keys
     h = hashlib.sha256()
 
@@ -289,7 +299,6 @@ def test_store_add_sequence_holds_at_any_batch_size(monkeypatch, n, r,
     # Cubic n=12 has 437 leaves and quartic n=10 1,215: neither splits
     # evenly into batches of 7 or of the default 64, which
     # test_store_add_sequence_is_pinned runs.
-    import soltes.enumeration as enumeration
     monkeypatch.setattr(enumeration, "_LEAF_BATCH", batch)
     _, digest = hashed_run(monkeypatch, n, r)
     assert digest == STORE_ADD_DIGESTS[n, r]
@@ -466,8 +475,9 @@ def test_search_leaves_no_cyclic_garbage():
 
 def test_gen_regular_frees_its_store_before_the_first_class(monkeypatch):
     # classify_table runs a report on each class while the generator is
-    # suspended, so the store's buckets must not stay reachable from it
-    import soltes.enumeration as enumeration
+    # suspended, so the store's buckets must not stay reachable from it.
+    # At two shards this process makes two stores, shard 0's and the one
+    # the shards' leaves are merged into.
     stores = []
 
     class Store(_ClassStore):
@@ -476,10 +486,75 @@ def test_gen_regular_frees_its_store_before_the_first_class(monkeypatch):
             stores.append(weakref.ref(self))
 
     monkeypatch.setattr(enumeration, "_ClassStore", Store)
-    graphs = gen_regular(10, 3)
-    next(graphs)
-    [store] = stores
-    assert store() is None
+    for shards in (1, 2):
+        at_shards(monkeypatch, shards)
+        stores.clear()
+        graphs = gen_regular(10, 3)
+        next(graphs)
+        assert len(stores) == shards
+        assert all(store() is None for store in stores)
+
+
+# rows whose classes and order must not depend on the shard count: below
+# n = 4 and in the r = 2 rows, some shards own no subtree
+SHARD_ROWS = ([(n, 3) for n in range(4, 15, 2)]
+              + [(n, 4) for n in range(5, 12)]
+              + [(n, 5) for n in (6, 8, 10)]
+              + [(n, 2) for n in range(3, 13)] + [(1, 0), (2, 1)])
+
+
+def test_classes_and_their_order_do_not_depend_on_the_shard_count(
+        monkeypatch):
+    # each class's first passing leaf in the search is also the first of
+    # its class in its own shard, so the merge meets it before any other
+    # leaf of its class and keeps it as the representative
+    digests = {}
+    for shards in (1, 2, 3):
+        at_shards(monkeypatch, shards)
+        for n, r in SHARD_ROWS:
+            h = hashlib.sha256()
+            for g in gen_regular(n, r):
+                h.update(repr(g.adj).encode())
+            digests.setdefault((n, r), set()).add(h.hexdigest())
+    assert [row for row, seen in digests.items() if len(seen) > 1] == []
+
+
+class _Longer(list):
+    """A list that claims one item more than it holds."""
+
+    def __len__(self):
+        return super().__len__() + 1
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("raises", "exited with code 1"),
+    ("short", "short of its leaves"),
+])
+def test_a_failing_shard_raises_and_leaves_no_child(monkeypatch, fault,
+                                                    message):
+    # the fault strikes only in the forked children: the parent must raise
+    # at the first, and must have reaped both by then
+    at_shards(monkeypatch, 3)
+    parent = os.getpid()
+    leaf_keys, search = enumeration._leaf_keys, enumeration._search
+
+    def failing_leaf_keys(leaves):
+        if os.getpid() != parent:
+            raise MemoryError("no memory left in the child")
+        return leaf_keys(leaves)
+
+    def short_search(*args):
+        kept = search(*args)
+        return kept if os.getpid() == parent else _Longer(kept)
+
+    if fault == "raises":
+        monkeypatch.setattr(enumeration, "_leaf_keys", failing_leaf_keys)
+    else:
+        monkeypatch.setattr(enumeration, "_search", short_search)
+    with pytest.raises(RuntimeError, match=message):
+        list(gen_regular(12, 3))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.skipif(not os.environ.get("SOLTES_EXTENDED"),
