@@ -100,7 +100,7 @@ from __future__ import annotations
 
 import os
 import signal
-import traceback
+import sys
 from itertools import chain
 from operator import itemgetter
 
@@ -470,7 +470,7 @@ def _send(wfd, n, r, shards, shard):
             pipe.write(np.uint64(len(kept)).tobytes() + rows.tobytes())
         code = 0
     except BaseException:
-        traceback.print_exc()
+        sys.excepthook(*sys.exc_info())
     finally:
         os._exit(code)
 
