@@ -495,8 +495,9 @@ def test_gen_regular_frees_its_store_before_the_first_class(monkeypatch):
         assert all(store() is None for store in stores)
 
 
-# rows whose classes and order must not depend on the shard count: below
-# n = 4 and in the r = 2 rows, some shards own no subtree
+# rows whose classes and order must not depend on the shard count; the
+# r = 2 rows and the complete graphs have a single subtree, so some shards
+# own none
 SHARD_ROWS = ([(n, 3) for n in range(4, 15, 2)]
               + [(n, 4) for n in range(5, 12)]
               + [(n, 5) for n in (6, 8, 10)]
