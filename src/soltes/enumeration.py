@@ -86,21 +86,24 @@ order, and shard s searches below node i only when i % shards == s; the
 part above them, which every shard runs, is under 1 % of the nodes
 (0.25 % on cubic n = 16).  Each shard filters its own leaves into a store
 of its own and keeps those that are new there, with their node numbers.
-Shards 1.. run in forked children, which send those leaves down a pipe
-as uint64 words and exit; the parent runs shard 0, reaps every child,
-sorts the leaves by node number, recomputes their key rows and adds them
-to one store.  A class's first passing leaf in DFS order is also the
-first of its class within its own shard, so the merged store meets it
-before any other leaf of its class: the classes, their representatives
-and their order are those of one shard, which is the plain search, with
-its store as the only one and no fork.
+Shards 1.. run in forked children, which send that list down a pipe as
+one marshal payload and exit; the parent runs shard 0, reaps every
+child, sorts the leaves by node number and runs them through the same
+filter-and-store routine (_new_classes) into one store.  A class's first
+passing leaf in DFS order is also the first of its class within its own
+shard, so the merged store meets it before any other leaf of its class:
+the classes, their representatives and their order are those of one
+shard, which is the plain search, with its store as the only one and no
+fork.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
 import signal
 import sys
+from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
@@ -114,29 +117,20 @@ from .core import Graph, soltes_report
 _SCALE_CAPS = {3: 16, 4: 13, 5: 10, 6: 10, 7: 10, 8: 11, 9: 10}
 
 
+@dataclass(slots=True)
 class TableRow:
     """One census row: how many graphs have exactly k removable vertices."""
 
-    __slots__ = ("n", "r", "total", "counts")
+    n: int
+    r: int
+    total: int
+    counts: dict
 
-    def __init__(self, n, r, total, counts):
-        self.n = n
-        self.r = r
-        self.total = total
-        self.counts = dict(counts)
-        if sum(self.counts.values()) > total:
+    def __post_init__(self):
+        self.counts = dict(self.counts)
+        if sum(self.counts.values()) > self.total:
             raise ValueError(
-                f"counts {self.counts} exceed the row total {total}")
-
-    def __eq__(self, other):
-        if not isinstance(other, TableRow):
-            return NotImplemented
-        return (self.n, self.r, self.total, self.counts) == \
-            (other.n, other.r, other.total, other.counts)
-
-    def __repr__(self):
-        return (f"TableRow(n={self.n}, r={self.r}, total={self.total}, "
-                f"counts={self.counts})")
+                f"counts {self.counts} exceed the row total {self.total}")
 
 
 # Leaves per _leaf_keys call: enough to spread numpy's per-call cost, few
@@ -317,6 +311,18 @@ class _ClassStore:
         return True
 
 
+def _new_classes(store, leaves):
+    """The (subtree number, masks) leaves that pass the filter and are new
+    to store, in order; _leaf_keys runs on _LEAF_BATCH of them at a time."""
+    new = []
+    for start in range(0, len(leaves), _LEAF_BATCH):
+        batch = leaves[start:start + _LEAF_BATCH]
+        for leaf, raw in zip(batch, _leaf_keys([masks for _, masks in batch])):
+            if raw is not None and store.add(leaf[1], raw):
+                new.append(leaf)
+    return new
+
+
 def _shards():
     """How many shards gen_regular splits its search into: one per CPU that
     this process may run on, or 1 where the platform cannot say."""
@@ -342,14 +348,6 @@ def _search(n, r, shards, shard):
     full = (1 << n) - 1
     split = n // 2
     subtree = -1
-
-    def flush():
-        """Filter the queued leaves and add the survivors, in leaf order."""
-        leaves = [masks for _, masks in pending]
-        for leaf, raw in zip(pending, _leaf_keys(leaves)):
-            if raw is not None and store.add(leaf[1], raw):
-                kept.append(leaf)
-        pending.clear()
 
     def second_level(x):
         """How many vertices are at distance 2 from x."""
@@ -411,7 +409,8 @@ def _search(n, r, shards, shard):
             if v == n:
                 pending.append((subtree, adjm.copy()))
                 if len(pending) >= _LEAF_BATCH:
-                    flush()
+                    kept.extend(_new_classes(store, pending))
+                    pending.clear()
                 return
         # partners above lo: unsaturated touched vertices and the fresh one
         av = adjm[v]
@@ -449,25 +448,20 @@ def _search(n, r, shards, shard):
 
     rec(-1, 0, full if r else 0, 1, -1, -1)
     del rec  # the same cycle as place in _isomorphic
-    if pending:
-        flush()
-    return kept
+    return kept + _new_classes(store, pending)
 
 
 def _send(wfd, n, r, shards, shard):
     """In a forked child: write shard's leaves to the pipe wfd, and exit.
 
-    The pipe carries native uint64 words: the leaf count, then each leaf's
-    subtree number and masks.  The exit code is 0 once all are written,
-    and 1 after any exception, whose traceback goes to stderr; the child
-    never returns into its caller's frames.
+    The pipe carries _search's list as one marshal payload.  The exit code
+    is 0 once it is written, and 1 after any exception, whose traceback
+    goes to stderr; the child never returns into its caller's frames.
     """
     code = 1
     try:
-        kept = _search(n, r, shards, shard)
-        rows = np.array([[sub, *masks] for sub, masks in kept], np.uint64)
         with open(wfd, "wb") as pipe:
-            pipe.write(np.uint64(len(kept)).tobytes() + rows.tobytes())
+            marshal.dump(_search(n, r, shards, shard), pipe)
         code = 0
     except BaseException:
         sys.excepthook(*sys.exc_info())
@@ -476,21 +470,26 @@ def _send(wfd, n, r, shards, shard):
 
 
 def _sharded(n, r, shards):
-    """The classes' masks from the search split into shards, in DFS order.
+    """The classes' (subtree number, masks) from the search split into
+    shards, in DFS order.
 
     Shards 1..shards-1 run in forked children; this process runs shard 0,
     reads each child's leaves and reaps it.  A child that exits non-zero
-    or sends short data raises RuntimeError, and on any exception the
-    children not yet reaped are killed and reaped.  The leaves are then
-    merged by subtree number, their key rows recomputed a batch at a time,
-    and added to one store.
+    or sends what marshal cannot read raises RuntimeError, and on any
+    exception the children not yet reaped are killed and reaped; a failed
+    fork closes its pipe.  The leaves are then merged by subtree number
+    and filtered into one store.
     """
     children = []  # (pid, read end of its pipe) of each child not reaped
-    leaf_bytes = 8 * (n + 1)  # a leaf on a pipe: its subtree and masks
     try:
         for shard in range(1, shards):
             rfd, wfd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                raise
             if pid == 0:
                 _send(wfd, n, r, shards, shard)
             os.close(wfd)
@@ -498,35 +497,26 @@ def _sharded(n, r, shards):
         parts = [_search(n, r, shards, 0)]
         for shard in range(1, shards):
             pid, pipe = children[0]
-            data = pipe.read()
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
-            code = os.waitstatus_to_exitcode(status)
             if code:
                 raise RuntimeError(
                     f"census shard {shard} exited with code {code}")
-            words = np.frombuffer(data, np.uint64, len(data) // 8)
-            if not words.size or len(data) != 8 + int(words[0]) * leaf_bytes:
+            try:
+                parts.append(marshal.loads(data))
+            except (EOFError, ValueError, TypeError) as exc:
                 raise RuntimeError(
-                    f"census shard {shard} sent {len(data)} bytes, short of "
-                    f"its leaves")
-            parts.append([(row[0], row[1:]) for row in
-                          words[1:].reshape(-1, n + 1).tolist()])
+                    f"census shard {shard} sent {len(data)} bytes that "
+                    f"marshal cannot read") from exc
     finally:
         for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     leaves = sorted(chain.from_iterable(parts), key=itemgetter(0))
-    store = _ClassStore(n)
-    found = []
-    for start in range(0, len(leaves), _LEAF_BATCH):
-        batch = [masks for _, masks in leaves[start:start + _LEAF_BATCH]]
-        for masks, raw in zip(batch, _leaf_keys(batch)):
-            if store.add(masks, raw):
-                found.append(masks)
-    return found
+    return _new_classes(_ClassStore(n), leaves)
 
 
 def gen_regular(n, r):
@@ -549,12 +539,12 @@ def gen_regular(n, r):
         return  # n isolated vertices: no connected graph
     shards = _shards()
     if shards == 1:
-        found = [masks for _, masks in _search(n, r, 1, 0)]
+        found = _search(n, r, 1, 0)
     else:
         found = _sharded(n, r, shards)
     # the stores are freed by here, before the caller (classify_table)
     # runs a report on each class
-    for masks in found:
+    for _, masks in found:
         yield Graph._from_adj(tuple(
             tuple(b for b in range(n) if a >> b & 1) for a in masks))
 

@@ -185,6 +185,15 @@ def test_tables_csv_and_text(capsys):
     assert code == 0 and out.strip() == "1,0,0,0,0,0,0,0,0"
     code, out, _ = run_cli(capsys, "tables", "--n", "6", "--r", "3")
     assert code == 0 and "total=2" in out
+    # the text line is TableRow's repr, which perfbench's checks parse;
+    # C_11 is the one 2-regular class, and all 11 of its vertices are
+    # Soltes vertices, so the csv widens to k = 11
+    code, out, _ = run_cli(capsys, "tables", "--n", "11", "--r", "2")
+    assert code == 0
+    assert out == "TableRow(n=11, r=2, total=1, counts={11: 1})\n"
+    code, out, _ = run_cli(capsys, "tables", "--n", "11", "--r", "2",
+                           "--format", "csv")
+    assert code == 0 and out == "1,0,0,0,0,0,0,0,0,0,0,1\n"
 
 
 def test_tables_negative_degree_is_a_usage_error(capsys):

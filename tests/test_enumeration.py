@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import marshal
 import os
 import random
 import weakref
@@ -520,16 +521,9 @@ def test_classes_and_their_order_do_not_depend_on_the_shard_count(
     assert [row for row, seen in digests.items() if len(seen) > 1] == []
 
 
-class _Longer(list):
-    """A list that claims one item more than it holds."""
-
-    def __len__(self):
-        return super().__len__() + 1
-
-
 @pytest.mark.parametrize("fault,message", [
     ("raises", "exited with code 1"),
-    ("short", "short of its leaves"),
+    ("truncated", "census shard 1 sent .* bytes that marshal cannot read"),
 ])
 def test_a_failing_shard_raises_and_leaves_no_child(monkeypatch, fault,
                                                     message):
@@ -537,23 +531,55 @@ def test_a_failing_shard_raises_and_leaves_no_child(monkeypatch, fault,
     # at the first, and must have reaped both by then
     at_shards(monkeypatch, 3)
     parent = os.getpid()
-    leaf_keys, search = enumeration._leaf_keys, enumeration._search
+    leaf_keys, dump = enumeration._leaf_keys, marshal.dump
 
     def failing_leaf_keys(leaves):
         if os.getpid() != parent:
             raise MemoryError("no memory left in the child")
         return leaf_keys(leaves)
 
-    def short_search(*args):
-        kept = search(*args)
-        return kept if os.getpid() == parent else _Longer(kept)
+    def truncated_dump(value, file):
+        if os.getpid() == parent:
+            return dump(value, file)
+        file.write(marshal.dumps(value)[:-1])
 
     if fault == "raises":
         monkeypatch.setattr(enumeration, "_leaf_keys", failing_leaf_keys)
     else:
-        monkeypatch.setattr(enumeration, "_search", short_search)
+        monkeypatch.setattr(marshal, "dump", truncated_dump)
     with pytest.raises(RuntimeError, match=message):
         list(gen_regular(12, 3))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_fork_closes_its_pipe_and_leaves_no_child(monkeypatch):
+    # the second of two forks fails: the first child must be reaped, and
+    # both pipes closed at both ends
+    at_shards(monkeypatch, 3)
+    fds = []
+    forks = []
+    pipe, fork = os.pipe, os.fork
+
+    def counted_pipe():
+        ends = pipe()
+        fds.extend(ends)
+        return ends
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) > 1:
+            raise BlockingIOError("no process left")
+        return fork()
+
+    monkeypatch.setattr(os, "pipe", counted_pipe)
+    monkeypatch.setattr(os, "fork", fork_once)
+    with pytest.raises(BlockingIOError):
+        list(gen_regular(12, 3))
+    assert len(fds) == 4
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
