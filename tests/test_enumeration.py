@@ -714,6 +714,10 @@ def test_table_row_consistency_guard():
     row = TableRow(14, 3, 509, {1: 4, 2: 3})
     assert row == TableRow(14, 3, 509, {1: 4, 2: 3})
     assert row != TableRow(14, 3, 509, {1: 4})
+    counts = {1: 4}
+    assert TableRow(14, 3, 509, counts).counts is not counts
+    with pytest.raises(TypeError):
+        hash(row)
     with pytest.raises(ValueError):
         TableRow(4, 3, 1, {1: 2})
 
