@@ -1,5 +1,6 @@
 """Attachment pipeline: tree growth, red/blue completion, full builds."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,11 +10,13 @@ import pytest
 from soltes.builder import (assemble, build_many_soltes, build_two_soltes,
                             place_blue_edges, place_red_edges, realize_trees,
                             verify_construction)
+from soltes.cli import main
 from soltes.core import (INFINITE, Graph, _check_automorphism, _find, _join,
                          _wieners, delete_vertex, is_biconnected,
                          soltes_report, wiener)
 from soltes.families import g_t_r
-from soltes.plan import ConstructionError, Infeasible, d_of, f_poly
+from soltes.plan import (ConstructionError, Infeasible, check_layers, d_of,
+                         enumerate_chain, f_poly)
 
 
 def grow(layers, t=3):
@@ -443,3 +446,94 @@ def test_planted_parallel_edge_raises_construction_error():
     # an uncaught ConstructionError: exit 1, as for a failed build
     assert r.returncode == 1, r.stderr
     assert "ConstructionError: parallel edge" in r.stderr
+
+
+# The builder's pins: digests of what it builds, and of what it refuses, on
+# every layer sequence it can be given.  A change to a placement rule that
+# alters one build, or the class of one refusal, fails here.
+EXTENDED = pytest.mark.skipif(not os.environ.get("SOLTES_EXTENDED"),
+                              reason="about 50 s; set SOLTES_EXTENDED=1")
+WALK_Q25 = "6d3c2ade6f9cd82ddc32555acbb0ffedd731f4ac5faf71940ddaede077037ffd"
+WALK_Q40 = "1ec65eb0b7640a1da121e0ab0d9778beca0e3c6899824c27a2d5597052f0a27d"
+BUILT_22 = "7598388b38cdc1e588747927beacac8a24668d8f340f3e28cc798c24a6403b3c"
+RAISED_22 = "a4d1d2dcc672c80fc9525382e70a275ee5a1dad3089e7e8b755d34b000bf0fbd"
+BUILT_30 = "63d9218daad03f560c7d815e8acc7909eaee88dc5bba8196da699f43d873e685"
+RAISED_30 = "75a6d1db26e0fcfaafe46e7217797de094358f23115899aa786d4ecc15fc9a90"
+
+
+@pytest.mark.parametrize("q_max,count,digest", [
+    (25, 4161, WALK_Q25),
+    pytest.param(40, 17876, WALK_Q40, marks=EXTENDED),
+], ids=["q25", "q40"])
+def test_walk_sequence_builds_are_pinned(q_max, count, digest):
+    # every sequence of the modify walk for q = 1..q_max builds on the t = 3
+    # ring; the sha256 runs over each build's red edges, blue edges and
+    # adjacency, in walk order
+    sha = hashlib.sha256()
+    seen = 0
+    for q in range(1, q_max + 1):
+        for layers in enumerate_chain(q):
+            h, plan = build_shape(layers)
+            sha.update(repr((plan.red_edges, plan.blue_edges,
+                             h.adj)).encode())
+            seen += 1
+    assert seen == count
+    assert sha.hexdigest() == digest
+
+
+def accepted_layers(total_max, prefix=()):
+    """Every tuple check_layers accepts with sum <= total_max that extends
+    prefix, in lexicographic order.  A prefix is extended only while it can
+    still head an accepted tuple: each entry but the last is at least 2, at
+    most 2^(i+1) at 1-based index i, and at most twice the one before."""
+    cap = min(1 << (len(prefix) + 2), 2 * prefix[-1] if prefix else 4,
+              total_max - sum(prefix))
+    for v in range(1, cap + 1):
+        layers = prefix + (v,)
+        try:
+            yield check_layers(layers)
+        except ValueError:
+            pass
+        if v >= 2:
+            yield from accepted_layers(total_max, layers)
+
+
+@pytest.mark.parametrize("total_max,counts,digests", [
+    (22, (10490, 6405), (BUILT_22, RAISED_22)),
+    pytest.param(30, (344136, 172328), (BUILT_30, RAISED_30), marks=EXTENDED),
+], ids=["sum22", "sum30"])
+def test_every_accepted_sequence_builds_or_raises_as_pinned(total_max, counts,
+                                                            digests):
+    # Each sequence that builds adds (layers, red edges, blue edges,
+    # adjacency) to the first sha256; each that raises adds (layers, the
+    # exception's class) to the second.  Only ConstructionError and
+    # ValueError may be raised.  The messages are left out, so a refusal
+    # may change its words but not its class.
+    built, raised = hashlib.sha256(), hashlib.sha256()
+    n_accepted = n_built = 0
+    for layers in accepted_layers(total_max):
+        n_accepted += 1
+        try:
+            h, plan = build_shape(layers)
+        except (ConstructionError, ValueError) as exc:
+            raised.update(repr((layers, type(exc).__name__)).encode())
+        else:
+            n_built += 1
+            built.update(repr((layers, plan.red_edges, plan.blue_edges,
+                               h.adj)).encode())
+    assert (n_accepted, n_built) == counts
+    assert (built.hexdigest(), raised.hexdigest()) == digests
+
+
+def test_workload_construct_stdout_is_pinned(capsys):
+    # the 27 construct workload calls, in WORKLOAD_BUILDS order, as
+    # perfbench/workloads.py makes them: --q for r = 1 only
+    sha = hashlib.sha256()
+    for r, t, q, _ in (p.values for p in WORKLOAD_BUILDS):
+        argv = ["construct", "--t", str(t), "--r", str(r)]
+        if r == 1:
+            argv += ["--q", str(q)]
+        assert main(argv) == 0, argv
+        sha.update(capsys.readouterr().out.encode())
+    assert sha.hexdigest() == (
+        "57e9a5b5fbac52cd96804b23d939cfba7ff3e5b9b1848b16c651009bbf5953ee")
