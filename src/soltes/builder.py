@@ -142,38 +142,27 @@ def _red_options(plan, i, side):
     """Candidate endpoints at level i for a red edge, preference-ordered.
 
     side is "down" when the edge continues to level i+1 and "up" when it
-    arrives from level i-1.  Leaves are spent on red edges when there are
-    at most two of them and shielded when a same-level cycle will need
-    them; the blue anchors of the sparse-leaf cases stay protected.
+    arrives from level i-1; "up" reads the preferred vertices in reverse.
+    A level with three or more leaves prefers each tree's first free
+    non-leaf, tree 1's first; one with a leaf in each tree prefers the two
+    leaves; one with a lone leaf prefers its own tree's first free non-leaf,
+    then the leaf.  The rest of the level follows in order.
     """
     t1, t2 = plan.levels[i]
     leaves1, leaves2 = _level_leaves(plan, i)
     leaves = leaves1 + leaves2
     pref = []
-    protected = set()
     if len(leaves) >= 3:
-        protected = set(leaves)
-        b1 = _first_free_nonleaf(plan, t1)
-        b2 = _first_free_nonleaf(plan, t2)
-        pref = [b1, b2] if side == "down" else [b2, b1]
+        pref = [_first_free_nonleaf(plan, t1), _first_free_nonleaf(plan, t2)]
     elif len(leaves) == 2 and leaves1 and leaves2:
-        a1, a2 = leaves1[0], leaves2[0]
-        for row in (t1, t2):
-            b = _first_free_nonleaf(plan, row)
-            if b is not None:
-                protected.add(b)
-        pref = [a1, a2] if side == "down" else [a2, a1]
+        pref = leaves
     elif len(leaves) == 1:
-        a = leaves[0]
-        own, other = (t1, t2) if leaves1 else (t2, t1)
-        b_same = _first_free_nonleaf(plan, own)
-        b_other = _first_free_nonleaf(plan, other)
-        if b_other is not None:
-            protected.add(b_other)
-        pref = [b_same, a] if side == "down" else [a, b_same]
+        own = t1 if leaves1 else t2
+        pref = [_first_free_nonleaf(plan, own), leaves[0]]
     pref = [v for v in pref if v is not None]
-    rest = [v for v in t1 + t2 if v not in protected and v not in pref]
-    return pref + rest
+    if side == "up":
+        pref.reverse()
+    return pref + [v for v in t1 + t2 if v not in pref]
 
 
 def place_red_edges(plan: ConstructionPlan) -> ConstructionPlan:
@@ -209,54 +198,48 @@ def _interleave(a, b):
 
 
 def _pool_match(plan, vertices):
-    while True:
-        live = [v for v in vertices if _free(plan, v) > 0]
-        if not live:
-            return
-        v = live[0]
-        partner = next((u for u in live[1:] if u not in plan._adj[v]), None)
-        if partner is None:
-            raise ConstructionError(f"blue matching stuck at vertex {v}")
-        _add_blue(plan, v, partner)
+    """Match each vertex in list order, until it is saturated, to the first
+    unsaturated non-neighbours after it."""
+    for k, v in enumerate(vertices):
+        while _free(plan, v) > 0:
+            partner = next((u for u in vertices[k + 1:]
+                            if _free(plan, u) > 0 and u not in plan._adj[v]),
+                           None)
+            if partner is None:
+                raise ConstructionError(f"blue matching stuck at vertex {v}")
+            _add_blue(plan, v, partner)
 
 
 def _blue_interior(plan, i):
+    """Complete level i with same-level edges.
+
+    Three or more leaves close, interleaved between the trees, into one
+    cycle.  Otherwise each tree has at most one leaf, and a leaf takes the
+    other tree's first free non-leaf, tree 1's leaf first.  The level's
+    remaining valency is then matched in order.
+    """
     t1, t2 = plan.levels[i]
     leaves1, leaves2 = _level_leaves(plan, i)
     if i < len(plan.levels) - 1 and abs(len(leaves1) - len(leaves2)) > 1:
         raise ConstructionError(f"leaf skew at level {i}")
-    leaves = leaves1 + leaves2
-
-    def anchor(a, target_row):
-        b = _first_free_nonleaf(plan, target_row)
-        if b is not None and _free(plan, a) > 0 and b not in plan._adj[a]:
-            _add_blue(plan, a, b)
-
-    if len(leaves) >= 3:
-        _blue_cycle(plan, leaves1, leaves2)
-    elif len(leaves) == 2 and leaves1 and leaves2:
-        anchor(leaves1[0], t2)
-        anchor(leaves2[0], t1)
-    elif len(leaves) == 1:
-        other = t2 if leaves1 else t1
-        anchor(leaves[0], other)
+    if len(leaves1) + len(leaves2) >= 3:
+        cycle = _interleave(leaves1, leaves2)
+        for v in cycle:
+            if _free(plan, v) != 2:
+                raise ConstructionError(f"cycle vertex {v} lost valency")
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            _add_blue(plan, x, y)
+    else:
+        for leaves, other in ((leaves1, t2), (leaves2, t1)):
+            for a in leaves:
+                b = _first_free_nonleaf(plan, other)
+                if b is not None:
+                    _add_blue(plan, a, b)
 
     parity = sum(_free(plan, v) for v in t1 + t2)
     if parity % 2:
         raise ConstructionError(f"odd free valency total at level {i}")
     _pool_match(plan, t1 + t2)
-
-
-def _blue_cycle(plan, a, b):
-    """Close the vertices of a and b, interleaved, into one blue cycle."""
-    order = _interleave(a, b)
-    if len(order) < 3:
-        raise ConstructionError(f"a blue cycle needs >= 3 vertices, got {order}")
-    for v in order:
-        if _free(plan, v) != 2:
-            raise ConstructionError(f"cycle vertex {v} lost valency")
-    for x, y in zip(order, order[1:] + order[:1]):
-        _add_blue(plan, x, y)
 
 
 def _blue_joint_tail(plan):
@@ -280,16 +263,15 @@ def _blue_joint_tail(plan):
 
 
 def place_blue_edges(plan: ConstructionPlan) -> ConstructionPlan:
-    """Complete every vertex to degree three with same-level edges."""
-    d = len(plan.build_layers)
+    """Complete every vertex to degree three with same-level edges.
+
+    A final layer of two is closed together with the layer above it.
+    """
     joint = plan.build_layers[-1] == 2
-    last_interior = d - 2 if joint else d - 1
-    for i in range(last_interior + 1):
+    for i in range(len(plan.levels) - 2 * joint):
         _blue_interior(plan, i)
     if joint:
         _blue_joint_tail(plan)
-    else:
-        _blue_cycle(plan, *plan.levels[-1])
     return plan
 
 
@@ -324,14 +306,6 @@ def assemble(plan: ConstructionPlan) -> Graph:
     return h
 
 
-def _build(base, t, delta, layers):
-    plan = realize_trees(base, t, delta, layers)
-    place_red_edges(plan)
-    place_blue_edges(plan)
-    h = assemble(plan)
-    return h, plan
-
-
 def build_two_soltes(t, q=None):
     """Cubic 2-connected graph whose two ring centers are removable.
 
@@ -359,7 +333,10 @@ def build_many_soltes(t, r, q=None):
         q = lo
     elif not lo <= q <= hi:
         raise ValueError(f"gap {gap} needs q in [{lo}, {hi}], got {q}")
-    return _build(base, t, delta, sequence_for(gap, q, delta))
+    plan = realize_trees(base, t, delta, sequence_for(gap, q, delta))
+    place_red_edges(plan)
+    place_blue_edges(plan)
+    return assemble(plan), plan
 
 
 def verify_construction(h: Graph, plan: ConstructionPlan) -> dict:

@@ -16,8 +16,14 @@ from .transforms import line_graph, truncate
 
 
 def _graph6_lines(path):
-    """Stripped non-empty lines; each is decoded as ASCII when it is reached."""
-    stream = open(path, "rb") if path else sys.stdin.buffer
+    """Stripped non-empty lines; each is decoded as ASCII when it is reached.
+
+    A file that cannot be opened is a ValueError naming it: a usage error.
+    """
+    try:
+        stream = open(path, "rb") if path else sys.stdin.buffer
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     try:
         for raw in stream:
             # a lone CR ends a line too, as under text mode's universal newlines

@@ -111,9 +111,13 @@ import numpy as np
 
 from .core import Graph, soltes_report
 
-# The largest n per degree whose census row ends in about 10 s; any other
-# degree is capped at 12.  The next rows up ran 11-12 s (n = 11 at degree
-# 6, n = 12 at degree 9) or past a minute (n = 12 at degrees 5 to 8).
+# The largest n per degree that a census row may have; any other degree is
+# capped at 12.  Timed once each in a fresh interpreter, at two shards on a
+# 2-vCPU host: the rows at the caps took 12.8 s (quartic n = 13), 3.7 s
+# (cubic n = 16) and under 0.3 s for the rest.  Generation alone, the next
+# rows up took 1.4-2.1 s (n = 11 at degree 6, n = 12 at degree 9), 12-18 s
+# (n = 12 at degree 8, n = 13 at degree 10) and 32-108 s (n = 12 at
+# degrees 5 to 7).
 _SCALE_CAPS = {3: 16, 4: 13, 5: 10, 6: 10, 7: 10, 8: 11, 9: 10}
 
 

@@ -161,6 +161,17 @@ def test_scan_prints_records_read_before_a_bad_byte(tmp_path, capsys):
     assert [json.loads(line)["n"] for line in out.splitlines()] == [11]
 
 
+@pytest.mark.parametrize("argv", [("soltes",), ("transform", "truncate")],
+                         ids=["soltes", "transform"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unopenable_input_file_is_a_usage_error(tmp_path, capsys, argv, kind):
+    path = tmp_path / "absent.g6" if kind == "missing" else tmp_path
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"cannot read {path}: ")
+
+
 def test_scan_splits_lines_at_cr_and_crlf(tmp_path, capsys):
     line = encode_graph6(cycle(11))
     src = tmp_path / "cr.g6"
