@@ -6,12 +6,15 @@ equality checks only (any arithmetic with it raises TypeError on purpose).
 
 There is one all-pairs distance kernel, _packed_pair_sums: a bit-packed
 simultaneous BFS that evaluates W(G) and any number of W(G - v) in one
-batched sweep on g itself, so no G - v is ever built.  A BFS level costs
-one gather per neighbour-table column, a mask, a popcount and an XOR, and
-the old and new frontiers swap places; the pair sums, last levels and
-connected flags are read off the per-level counts after the loop.  wiener,
-profile and soltes_report all go through it, and profile reads the girth,
-the diameter and bipartiteness off its one sweep.  The only single-source
+batched sweep on G itself, so no G - v is ever built, and that does so
+for a batch of graphs of one order at once, as the disjoint union of their
+rows.  A BFS level costs one gather per neighbour-table column, a mask, a
+popcount and an XOR, and the old and new frontiers swap places; the pair
+sums, last levels and connected flags are read off the per-level counts
+after the loop.  wiener, profile and soltes_report sweep one graph;
+soltes_reports, the census's entry, sweeps many classes per call, so
+numpy's per-call cost is spread over them.  profile reads the girth, the
+diameter and bipartiteness off its one sweep.  The only single-source
 routine is _bfs_raw, a plain BFS distance list with -1 for unreachable
 vertices; it serves only is_connected and the builder's distance checks.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import chain, islice
 
 import numpy as np
 
@@ -39,14 +43,15 @@ class _Sentinel:
 INFINITE = _Sentinel("INFINITE")
 ACYCLIC = _Sentinel("ACYCLIC")
 
-# Words of 64 bits per sweep array: a chunk of _packed_pair_sums holds
-# max(1, _SWEEP_WORDS // ((n + 1) * ceil(n / 64))) slices.  Four such arrays
-# are live at once (the frontier, the new frontier it swaps with, a gather
-# buffer and unreached), 256 KB in all; profile's closure mode adds a fifth
-# (dup).  Larger chunks pay numpy's per-call overhead, a fixed number of
-# calls per BFS level, fewer times; 2^11 words gave no gain over one sweep
-# per deletion on the scan benchmark, 2^13 most of the gain at half the
-# memory of 2^14.
+# Words of 64 bits per sweep array: a chunk of _packed_pair_sums over G
+# graphs holds max(1, _SWEEP_WORDS // (G * (n + 1) * ceil(n / 64))) slices,
+# and soltes_reports sweeps as many graphs at once as fit all their n + 1
+# slices in one chunk.  Four such arrays are live at once (the frontier, the
+# new frontier it swaps with, a gather buffer and unreached), 256 KB in all;
+# profile's closure mode adds a fifth (dup).  Larger chunks pay numpy's
+# per-call overhead, a fixed number of calls per BFS level, fewer times;
+# 2^11 words gave no gain over one sweep per deletion on the scan
+# benchmark, 2^13 most of the gain at half the memory of 2^14.
 _SWEEP_WORDS = 2 ** 13
 
 
@@ -154,27 +159,33 @@ def _bfs_raw(adj, n, src):
     return dist
 
 
-def _neighbour_table(g):
-    """(max(1, max degree), n + 1) index array: column v lists v's
-    neighbours, padded with n, the index of the sweep's all-zero row;
-    column n is all padding, so row n of every gather stays zero."""
-    n = g.n
-    width = max(1, max((len(a) for a in g.adj), default=0))
-    table = np.full((width, n + 1), n, dtype=np.intp)
-    for v, row in enumerate(g.adj):
-        table[: len(row), v] = row
-    return table
+def _neighbour_table(graphs):
+    """(max(1, max degree), G * (n + 1)) index array for G graphs on n
+    vertices each, over the rows of their disjoint union: column
+    i * (n + 1) + x lists the rows of the neighbours of graph i's vertex x,
+    padded with i * (n + 1) + n, graph i's all-zero row.  That row's own
+    column is all padding, so it stays zero in every gather."""
+    n = graphs[0].n
+    width = max(1, max((len(a) for g in graphs for a in g.adj), default=0))
+    fill = (n,) * width
+    table = np.fromiter(
+        chain.from_iterable(a + fill[len(a):] for g in graphs
+                            for a in (*g.adj, ())),
+        dtype=np.intp).reshape(len(graphs), n + 1, width)
+    table += np.arange(0, len(graphs) * (n + 1), n + 1)[:, None, None]
+    return table.reshape(-1, width).T.copy()
 
 
-def _packed_pair_sums(g, removed, closures=False):
-    """[(sum of d(x, y) over reached ordered pairs, last level, connected
+def _packed_pair_sums(graphs, removed, closures=False):
+    """For each of graphs, all on the same n vertices, the list
+    [(sum of d(x, y) over reached ordered pairs, last level, connected
     flag)], one per entry of removed: g - v for a vertex v, g itself for
     None.
 
     Simultaneous BFS from every vertex on bit-packed reach sets: level k
     adds, for every source, the neighbours of its level k-1 frontier.  Each
-    level records only its count of fresh pairs per slice, so no distance
-    matrix is ever materialized; after the loop, a slice's sum is the sum
+    level records only its count of fresh pairs per slice and graph, so no
+    distance matrix is ever materialized; after the loop, a sum is the sum
     of k times its level-k count, its last level is the number of levels at
     which it grew, and it is connected when the counts add up to all its
     ordered pairs.  For a disconnected slice the sum covers the pairs that
@@ -183,17 +194,22 @@ def _packed_pair_sums(g, removed, closures=False):
     set stays four chunk-sized arrays whatever the degree (five with
     closures).
 
-    The entries run in chunks, each a (slices, n + 1, words) frontier array
-    of as many slices as _SWEEP_WORDS allows (at least one).  Every buffer
-    has n + 1 rows; row n is the all-zero row the table's padding points
-    at, and it stays zero in each gather, so the new frontier and the old
-    one swap places instead of being copied.  All slices share nbrs, g's
-    _neighbour_table.  A removed vertex v is masked through its slice's
-    start state alone: v's identity bit is cleared, v's unreached row is
-    zeroed and v's bit is cleared in every unreached row.  So v's frontier
-    stays empty, no source ever reaches v, and the other vertices make the
-    (n - 1)(n - 2) ordered pairs of g - v.  A chunk stops once all its pairs
-    are reached, or at a level that reaches nothing new.
+    A slice holds every graph at once, as the rows of their disjoint union:
+    graph i's vertex x is row i * (n + 1) + x, and row i * (n + 1) + n is
+    graph i's all-zero row, which the table's padding points at and which
+    stays zero in each gather, so the new frontier and the old one swap
+    places instead of being copied.  Bit positions stay local to a graph, so
+    a row has ceil(n / 64) words whatever the number of graphs, and each
+    level's counts are reduced per (slice, graph) cell.  The entries run in
+    chunks, each a (slices, rows, words) frontier array of as many slices
+    as _SWEEP_WORDS allows (at least one), and all slices share nbrs, the
+    union's _neighbour_table.  A removed vertex v is masked through its
+    slice's start state alone, in every graph: v's identity bit is cleared,
+    v's unreached row is zeroed and v's bit is cleared in every unreached
+    row.  So v's frontier stays empty, no source ever reaches v, and the
+    other vertices make the (n - 1)(n - 2) ordered pairs of g - v.  A chunk
+    stops once all its pairs are reached, or at a level that reaches
+    nothing new.
 
     With closures, each entry also has the girth (0 if acyclic) and a
     bipartite flag.  As the levels are synchronous over the sources, the
@@ -206,80 +222,112 @@ def _packed_pair_sums(g, removed, closures=False):
     Totals are exact in int64: a sum is below n^3, and n^3 < 2^63 for every
     n whose (n + 1) x n bit slice fits in memory (n < 2^21).
     """
-    n = g.n
-    nbrs = _neighbour_table(g)
-    words = (n + 63) // 64
-    step = max(1, _SWEEP_WORDS // max(1, (n + 1) * words))
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("the graphs of one sweep must have the same order")
+    size = len(graphs)
+    nbrs = _neighbour_table(graphs)
+    step = max(1, _SWEEP_WORDS // max(1, nbrs.shape[1] * ((n + 63) // 64)))
     idx = np.arange(n)
     bits = np.uint64(1) << (idx & 63).astype(np.uint64)
-    out = []
+    out = [[] for _ in graphs]
     for lo in range(0, len(removed), step):
-        chunk = removed[lo:lo + step]
-        b = len(chunk)
-        frontier = np.zeros((b, n + 1, words), dtype=np.uint64)
-        frontier[:, idx, idx >> 6] = bits
-        unreached = ~frontier
-        unreached[:, n] = 0
-        order = np.full(b, n, dtype=np.int64)
-        hit = [s for s, v in enumerate(chunk) if v is not None]
-        if hit:
-            s = np.array(hit)
-            v = np.array([chunk[i] for i in hit])
-            frontier[s, v] = 0
-            unreached[s, v] = 0
-            unreached[s, :, v >> 6] &= ~bits[v][:, None]
-            order[s] = n - 1
-        pairs = order * (order - 1)
-        left = int(pairs.sum())
-        counts, odds, evens = [], [], []
-        new = np.empty_like(frontier)
-        tmp = np.empty_like(frontier)
-        dup = np.zeros_like(frontier) if closures else None
-        while left:
-            # every index is in 0..n, and "clip" writes out directly where
-            # the default "raise" goes through a buffered copy
-            frontier.take(nbrs[0], axis=1, out=new, mode="clip")
-            for column in nbrs[1:]:
-                frontier.take(column, axis=1, out=tmp, mode="clip")
-                if closures:
-                    dup |= new & tmp
-                new |= tmp
-            if closures:
-                odds.append((new & frontier).any(axis=(1, 2)))
-                evens.append((dup & unreached).any(axis=(1, 2)))
-                dup.fill(0)
-            new &= unreached
-            fresh = np.bitwise_count(new).sum(axis=(1, 2)).tolist()
-            got = sum(fresh)
-            if not got:
-                break
-            counts.append(fresh)
-            # closures reads the last level's inner edges in the pass after
-            # it, so it stops only at a pass that reaches nothing
-            if not closures:
-                left -= got
-            unreached ^= new
-            frontier, new = new, frontier
-        counts = np.array(counts, dtype=np.int64).reshape(-1, b)
-        ks = np.arange(1, len(counts) + 1)
-        columns = [ks @ counts, (counts > 0).sum(axis=0),
-                   counts.sum(axis=0) == pairs]
-        if closures:
-            odd = np.array(odds, dtype=bool).reshape(-1, b)
-            cycle = odd | np.array(evens, dtype=bool).reshape(-1, b)
-            # pass k closes a cycle of length 2k - odd, rising with k, so
-            # the least is the girth; n + 1 marks no cycle
-            closing = 2 * np.arange(1, len(odd) + 1)[:, None] - odd
-            girth = np.where(cycle, closing, n + 1).min(axis=0, initial=n + 1)
-            columns += [np.where(girth > n, 0, girth), ~odd.any(axis=0)]
-        out.extend(zip(*(c.tolist() for c in columns)))
+        columns = [c.tolist() for c in _sweep_chunk(
+            nbrs, size, idx, bits, removed[lo:lo + step], closures)]
+        # cell s * size + i is slice s of graph i
+        for i, sums in enumerate(out):
+            sums.extend(zip(*(c[i::size] for c in columns)))
     return out
+
+
+def _sweep_chunk(nbrs, size, idx, bits, chunk, closures):
+    """_packed_pair_sums' columns for one chunk of its entries, one value
+    per (slice, graph) cell.  The chunk's arrays, and the views that hold
+    them, are freed on return, before the next chunk allocates its own."""
+    n = len(idx)
+    words = (n + 63) // 64
+    rows = nbrs.shape[1]
+    b = len(chunk)
+    frontier = np.zeros((b, rows, words), dtype=np.uint64)
+    # the start state through (slice, graph, vertex, word) views
+    start = (b, size, n + 1, words)
+    frontier4 = frontier.reshape(start)
+    frontier4[:, :, idx, idx >> 6] = bits
+    unreached = ~frontier
+    unreached4 = unreached.reshape(start)
+    unreached4[:, :, n] = 0
+    order = np.full((b, size), n, dtype=np.int64)
+    hit = [s for s, v in enumerate(chunk) if v is not None]
+    if hit:
+        s = np.array(hit)
+        v = np.array([chunk[i] for i in hit])
+        frontier4[s, :, v] = 0
+        unreached4[s, :, v] = 0
+        unreached4[s, :, :, v >> 6] &= ~bits[v][:, None, None]
+        order[s] = n - 1
+    pairs = (order * (order - 1)).ravel()
+    left = int(pairs.sum())
+    counts, odds, evens = [], [], []
+    new = np.empty_like(frontier)
+    tmp = np.empty_like(frontier)
+    # one row per (slice, graph) cell, for the reductions
+    cells = (b * size, (n + 1) * words)
+    frontier_c, new_c = frontier.reshape(cells), new.reshape(cells)
+    if closures:
+        dup = np.zeros_like(frontier)
+        dup_c, unreached_c = dup.reshape(cells), unreached.reshape(cells)
+    while left:
+        # every index is in 0..rows - 1, and "clip" writes out directly
+        # where the default "raise" goes through a buffered copy
+        frontier.take(nbrs[0], axis=1, out=new, mode="clip")
+        for column in nbrs[1:]:
+            frontier.take(column, axis=1, out=tmp, mode="clip")
+            if closures:
+                dup |= new & tmp
+            new |= tmp
+        if closures:
+            odds.append((new_c & frontier_c).any(axis=1))
+            evens.append((dup_c & unreached_c).any(axis=1))
+            dup.fill(0)
+        new &= unreached
+        fresh = np.bitwise_count(new_c).sum(axis=1).tolist()
+        got = sum(fresh)
+        if not got:
+            break
+        counts.append(fresh)
+        # closures reads the last level's inner edges in the pass after
+        # it, so it stops only at a pass that reaches nothing
+        if not closures:
+            left -= got
+        unreached ^= new
+        frontier, new = new, frontier
+        frontier_c, new_c = new_c, frontier_c
+    counts = np.array(counts, dtype=np.int64).reshape(-1, b * size)
+    ks = np.arange(1, len(counts) + 1)
+    columns = [ks @ counts, (counts > 0).sum(axis=0),
+               counts.sum(axis=0) == pairs]
+    if closures:
+        odd = np.array(odds, dtype=bool).reshape(-1, b * size)
+        cycle = odd | np.array(evens, dtype=bool).reshape(-1, b * size)
+        # pass k closes a cycle of length 2k - odd, rising with k, so
+        # the least is the girth; n + 1 marks no cycle
+        closing = 2 * np.arange(1, len(odd) + 1)[:, None] - odd
+        girth = np.where(cycle, closing, n + 1).min(axis=0, initial=n + 1)
+        columns += [np.where(girth > n, 0, girth), ~odd.any(axis=0)]
+    return columns
+
+
+def _to_wieners(sums):
+    """W per sweep entry: half its ordered-pair sum, INFINITE if
+    disconnected."""
+    return [total // 2 if connected else INFINITE
+            for total, _, connected in sums]
 
 
 def _wieners(g, removed):
     """[W(g - v) for v in removed], W(g) for None; INFINITE if disconnected."""
-    return [total // 2 if connected else INFINITE
-            for total, _, connected in _packed_pair_sums(g, removed)]
+    [sums] = _packed_pair_sums([g], removed)
+    return _to_wieners(sums)
 
 
 def wiener(g: Graph):
@@ -362,6 +410,16 @@ def _wieners_by_orbit(g, automorphisms, vertices):
     return w, [per_orbit[root] for root in roots]
 
 
+def _report(w, per_vertex):
+    """SoltesReport from W(G) and each W(G - v); G must be connected."""
+    if w is INFINITE:
+        raise ValueError("soltes_report requires a connected graph")
+    n = len(per_vertex)
+    soltes_set = tuple(v for v in range(n) if per_vertex[v] == w)
+    alpha = Fraction(len(soltes_set), n) if n else Fraction(0, 1)
+    return SoltesReport(w, per_vertex, soltes_set, alpha)
+
+
 def soltes_report(g: Graph, automorphisms=None) -> SoltesReport:
     """Per-vertex deletion analysis of a connected graph.
 
@@ -374,13 +432,26 @@ def soltes_report(g: Graph, automorphisms=None) -> SoltesReport:
     automorphisms = list(automorphisms or ())
     for perm in automorphisms:
         _check_automorphism(g, perm)
-    w, per_vertex = _wieners_by_orbit(g, automorphisms, range(g.n))
-    if w is INFINITE:
-        raise ValueError("soltes_report requires a connected graph")
+    return _report(*_wieners_by_orbit(g, automorphisms, range(g.n)))
 
-    soltes_set = tuple(v for v in range(g.n) if per_vertex[v] == w)
-    alpha = Fraction(len(soltes_set), g.n) if g.n else Fraction(0, 1)
-    return SoltesReport(w, per_vertex, soltes_set, alpha)
+
+def soltes_reports(graphs):
+    """Yield soltes_report(g) for each of graphs, connected graphs that all
+    have the same order n.
+
+    The graphs are read lazily, in batches of as many as fit all their
+    n + 1 slices (G and each G - v) in one chunk of the sweep, and each
+    batch is one _packed_pair_sums call on the batch's disjoint union, so
+    numpy's per-call cost is paid once per batch, not once per graph.
+    """
+    graphs = iter(graphs)
+    for first in graphs:
+        n = first.n
+        size = max(1, _SWEEP_WORDS // max(1, (n + 1) ** 2 * ((n + 63) // 64)))
+        batch = [first, *islice(graphs, size - 1)]
+        for sums in _packed_pair_sums(batch, [None, *range(n)]):
+            w, *per_vertex = _to_wieners(sums)
+            yield _report(w, per_vertex)
 
 
 def is_biconnected(g: Graph) -> bool:
@@ -426,8 +497,8 @@ def profile(g: Graph) -> dict:
     """Summary invariants: girth, diameter, bipartiteness, degree data."""
     degrees = tuple(sorted(len(a) for a in g.adj))
     regular = degrees[0] if degrees and degrees[0] == degrees[-1] else None
-    [(_, far, connected, girth, bipartite)] = _packed_pair_sums(
-        g, [None], closures=True)
+    [[(_, far, connected, girth, bipartite)]] = _packed_pair_sums(
+        [g], [None], closures=True)
     return {
         "girth": girth or ACYCLIC,
         "diameter": far if connected else INFINITE,

@@ -109,16 +109,18 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import Graph, soltes_report
+from .core import Graph, soltes_reports
 
 # The largest n per degree that a census row may have; any other degree is
-# capped at 12.  Timed once each in a fresh interpreter, at two shards on a
+# capped at 12.  Each cap serves every row that costs less than the dearest
+# row served.  Timed once each in a fresh interpreter, at two shards on a
 # 2-vCPU host: the rows at the caps took 12.8 s (quartic n = 13), 3.7 s
-# (cubic n = 16) and under 0.3 s for the rest.  Generation alone, the next
-# rows up took 1.4-2.1 s (n = 11 at degree 6, n = 12 at degree 9), 12-18 s
-# (n = 12 at degree 8, n = 13 at degree 10) and 32-108 s (n = 12 at
-# degrees 5 to 7).
-_SCALE_CAPS = {3: 16, 4: 13, 5: 10, 6: 10, 7: 10, 8: 11, 9: 10}
+# (cubic n = 16), 1.4-3.5 s (n = 11 at degree 6, n = 12 at degree 9) and
+# under 0.3 s for the rest.  Generation alone, the next rows up took
+# 12-18 s (n = 12 at degree 8, n = 13 at degree 10) and 32-108 s (n = 12 at
+# degrees 5 to 7).  Degree 9 has no row at n = 13, and its classes on 14
+# vertices include the complements of the 88,168 connected quartic ones.
+_SCALE_CAPS = {3: 16, 4: 13, 5: 10, 6: 11, 7: 10, 8: 11, 9: 12}
 
 
 @dataclass(slots=True)
@@ -554,15 +556,23 @@ def gen_regular(n, r):
 
 
 def classify_table(n, r) -> TableRow:
-    """Census row over gen_regular(n, r) with per-k removable-vertex counts."""
+    """Census row over gen_regular(n, r) with per-k removable-vertex counts.
+
+    The classes reach soltes_reports as gen_regular yields them, and it
+    sweeps them in batches, many classes to one kernel call.
+    """
     cap = _SCALE_CAPS.get(r, 12)
     if n > cap:
         raise ValueError(f"n={n} exceeds the r={r} scale cap of {cap}")
     total = 0
     counts = {}
-    for g in gen_regular(n, r):
+    # gen_regular runs its whole search when soltes_reports asks for the
+    # first class.  CPython keeps a generator's frame in the generator, off
+    # the data stack the search's recursion runs on, so the search runs at
+    # the same depth as when this loop iterated gen_regular itself.
+    for report in soltes_reports(gen_regular(n, r)):
         total += 1
-        k = len(soltes_report(g).soltes_set)
+        k = len(report.soltes_set)
         if k:
             counts[k] = counts.get(k, 0) + 1
     return TableRow(n, r, total, counts)

@@ -229,8 +229,8 @@ def test_tables_refuses_a_row_past_its_scale_cap(capsys):
     (13, 2, 2, "n=13 exceeds the r=2 scale cap of 12"),
     (17, 3, 2, "n=17 exceeds the r=3 scale cap of 16"),
     (14, 4, 2, "n=14 exceeds the r=4 scale cap of 13"),
-    (11, 6, 2, "n=11 exceeds the r=6 scale cap of 10"),
-    (12, 9, 2, "n=12 exceeds the r=9 scale cap of 10"),
+    (12, 6, 2, "n=12 exceeds the r=6 scale cap of 11"),
+    (13, 9, 2, "n=13 exceeds the r=9 scale cap of 12"),
     (65, 2, 2, "n=65 exceeds the r=2 scale cap of 12"),
 ])
 def test_tables_exit_codes(capsys, n, r, code, err_part):
@@ -297,14 +297,14 @@ def test_cayley_unknown_entry(capsys):
 def test_only_profile_asks_the_sweep_for_closures(monkeypatch, tmp_path,
                                                   capsys):
     # closure detection costs every level a fifth buffer; the deletion
-    # slices of a scan, a build's verification and a catalog check must
-    # not pay it, and profile asks for it in its one sweep
+    # slices of a scan, a build's verification, a catalog check and a
+    # census row must not pay it, and profile asks for it in its one sweep
     sweep = soltes.core._packed_pair_sums
     calls = []
 
-    def recording(g, removed, **kwargs):
+    def recording(graphs, removed, **kwargs):
         calls.append((sys._getframe(1).f_code.co_name, kwargs))
-        return sweep(g, removed, **kwargs)
+        return sweep(graphs, removed, **kwargs)
 
     monkeypatch.setattr(soltes.core, "_packed_pair_sums", recording)
     src = tmp_path / "scan.g6"
@@ -312,10 +312,12 @@ def test_only_profile_asks_the_sweep_for_closures(monkeypatch, tmp_path,
                            (cycle(11), complete(7), wheel(9).graph)),
                    encoding="ascii")
     for argv in (["soltes", str(src)], ["construct", "--t", "4", "--r", "2"],
-                 ["cayley", "--entry", "CVT(324,104)"]):
+                 ["cayley", "--entry", "CVT(324,104)"],
+                 ["tables", "--n", "10", "--r", "3"]):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out
-    assert {caller for caller, _ in calls} == {"_wieners", "profile"}
+    assert {caller for caller, _ in calls} == {"_wieners", "profile",
+                                               "soltes_reports"}
     assert [kw for caller, kw in calls if caller == "profile"] == [
         {"closures": True}]
     assert all(kw == {} for caller, kw in calls if caller != "profile")

@@ -12,7 +12,8 @@ import soltes.core
 from soltes.cayley import cayley_graph, group_closure, load_catalog
 from soltes.core import (ACYCLIC, INFINITE, Graph, delete_vertex,
                          is_biconnected, is_connected, profile, soltes_report,
-                         wiener, _bfs_raw, _packed_pair_sums, _wieners)
+                         soltes_reports, wiener, _bfs_raw, _packed_pair_sums,
+                         _wieners)
 from soltes.enumeration import gen_regular
 from soltes.transforms import line_graph, truncate
 
@@ -144,7 +145,7 @@ def test_packed_sweep_against_distance_matrix():
         n = rng.randrange(64, 80)
         g = random_graph(rng, n, 0.07)
         dm = bfs_distance_matrix(g)
-        [(total, far, connected)] = _packed_pair_sums(g, [None])
+        [[(total, far, connected)]] = _packed_pair_sums([g], [None])
         assert connected == all(d >= 0 for row in dm for d in row)
         if connected:
             assert total == sum(map(sum, dm))
@@ -233,15 +234,15 @@ def test_batched_sweep_matches_rebuilt_graphs(monkeypatch):
         removed = [None, *range(g.n)]
         extra = [rng.choice(removed) for _ in range(g.n // 2 + 3)]
         removed += extra + [None, *extra[:3]]
-        want = {v: _packed_pair_sums(delete_vertex(g, v), [None])[0]
+        want = {v: _packed_pair_sums([delete_vertex(g, v)], [None])[0][0]
                 for v in range(g.n)}
-        want[None] = _packed_pair_sums(g, [None])[0]
+        want[None] = _packed_pair_sums([g], [None])[0][0]
         want_w = [wiener(g) if v is None else wiener(delete_vertex(g, v))
                  for v in removed]
         for k in (1, 3, 7):
             monkeypatch.setattr(soltes.core, "_SWEEP_WORDS",
                                 k * (g.n + 1) * words)
-            got = _packed_pair_sums(g, removed)
+            [got] = _packed_pair_sums([g], removed)
             assert got == [want[v] for v in removed], (g, k)
             assert _wieners(g, removed) == want_w, (g, k)
             for lo in range(0, len(got), k):
@@ -251,8 +252,9 @@ def test_batched_sweep_matches_rebuilt_graphs(monkeypatch):
 
 
 def test_batched_sweep_small_and_edge_orders():
-    assert _packed_pair_sums(Graph(0), [None]) == [(0, 0, True)]
-    assert _packed_pair_sums(Graph(1), [None, 0, None]) == [(0, 0, True)] * 3
+    assert _packed_pair_sums([Graph(0)], [None]) == [[(0, 0, True)]]
+    assert _packed_pair_sums([Graph(1)], [None, 0, None]) == [
+        [(0, 0, True)] * 3]
     k2 = Graph(2, [(0, 1)])
     assert _wieners(k2, [0, None, 1]) == [0, 1, 0]
     assert _wieners(Graph(2), [None, 1]) == [INFINITE, 0]
@@ -293,8 +295,8 @@ def test_sweep_fields_of_disconnected_slices(monkeypatch):
         for k in (1, 3, 7):
             monkeypatch.setattr(soltes.core, "_SWEEP_WORDS",
                                 k * (g.n + 1) * words)
-            assert _packed_pair_sums(g, removed) == want, (g, k)
-            closed = _packed_pair_sums(g, removed, closures=True)
+            assert _packed_pair_sums([g], removed) == [want], (g, k)
+            [closed] = _packed_pair_sums([g], removed, closures=True)
             assert [c[:3] for c in closed] == want, (g, k)
     assert disconnected > 300
 
@@ -305,9 +307,40 @@ def test_sweep_closed_forms_on_long_cycles(n):
     # even one (n + 1) x n slice fits the word budget
     ring = Graph(n, [(i, (i + 1) % n) for i in range(n)])
     path_w = (n - 2) * (n - 1) * n // 6
-    assert _packed_pair_sums(ring, [None, 0, n // 2]) == [
+    assert _packed_pair_sums([ring], [None, 0, n // 2]) == [[
         (2 * (n * (n * n // 4) // 2), n // 2, True),
-        (2 * path_w, n - 2, True), (2 * path_w, n - 2, True)]
+        (2 * path_w, n - 2, True), (2 * path_w, n - 2, True)]]
+
+
+def test_sweep_of_many_graphs_matches_one_graph_sweeps(monkeypatch):
+    # A sweep over several graphs of one order, the rows of their disjoint
+    # union, against one sweep per graph; with cut vertices and sparse
+    # graphs, some slices of a chunk are disconnected next to connected
+    # ones.  The word budget runs from one slice per chunk, through one
+    # that splits the entries across two chunks, to the default.
+    default = soltes.core._SWEEP_WORDS
+    rng = random.Random(3030)
+    disconnected = 0
+    for n in (5, 63, 64, 65, 70):
+        words = (n + 63) // 64
+        for size in (1, 2, 3, 4):
+            graphs = [random_graph(rng, n, rng.choice((0.04, 0.1, 0.3)))
+                      for _ in range(size)]
+            if n == 70:
+                graphs[-1] = two_blocks_at_a_cut_vertex(rng, 30, 39)
+            removed = [None, *rng.sample(range(n), min(n, 9)), None]
+            half = (len(removed) + 1) // 2
+            for budget in (1, half * size * (n + 1) * words, default):
+                monkeypatch.setattr(soltes.core, "_SWEEP_WORDS", budget)
+                for closures in (False, True):
+                    want = [_packed_pair_sums([g], removed, closures)[0]
+                            for g in graphs]
+                    got = _packed_pair_sums(graphs, removed, closures)
+                    assert got == want, (n, size, budget, closures)
+                    disconnected += sum(not c[2] for w in want for c in w)
+    assert disconnected > 100
+    with pytest.raises(ValueError):
+        _packed_pair_sums([Graph(5), Graph(6)], [None])
 
 
 def report_peak(g, automorphisms=None):
@@ -350,6 +383,18 @@ def test_soltes_report_memory_is_bounded_by_chunks():
     rep, peak = report_peak(g)
     assert rep.per_vertex == (wiener(delete_vertex(g, 0)),) * n
     assert peak < 2 ** 20
+
+
+def test_each_sweep_chunk_frees_its_arrays_before_the_next():
+    # C_1152(1, 100) under its rotation: W(G) and one deletion, one slice
+    # per chunk, each chunk array (n + 1) x 18 words.  A chunk holds four
+    # of them; the second chunk's must replace the first's, not join them.
+    n = 1152
+    g = circulant(n, (1, 100))
+    rotation = [(v + 1) % n for v in range(n)]
+    rep, peak = report_peak(g, [rotation])
+    assert rep.per_vertex == (wiener(delete_vertex(g, 0)),) * n
+    assert peak < 6 * (n + 1) * 18 * 8
 
 
 def test_sweep_memory_is_bounded_on_dense_graph():
@@ -406,9 +451,9 @@ def count_deletions(monkeypatch):
     calls = []
     real = soltes.core._packed_pair_sums
 
-    def counted(g, removed):
+    def counted(graphs, removed):
         calls.extend(v for v in removed if v is not None)
-        return real(g, removed)
+        return real(graphs, removed)
 
     monkeypatch.setattr(soltes.core, "_packed_pair_sums", counted)
     return calls
@@ -433,6 +478,30 @@ def test_orbit_report_cycle_under_rotation(monkeypatch):
 def circulant(n, steps):
     return Graph(n, [(i, (i + s) % n) for i in range(n) for s in steps])
 
+
+
+def test_report_batches_fill_one_sweep_chunk(monkeypatch):
+    # soltes_reports sweeps as many graphs at once as fit all their n + 1
+    # slices in one chunk: 36 on 14 vertices and 56 on 11 at the default
+    # budget; each report is the one soltes_report gives
+    sweep = soltes.core._packed_pair_sums
+    sizes = []
+
+    def recording(graphs, removed, **kwargs):
+        sizes.append(len(graphs))
+        return sweep(graphs, removed, **kwargs)
+
+    cases = [(circulant(14, (1, 7)), [36, 4]),
+             (circulant(11, (1, 2)), [56, 4])]
+    wants = [soltes_report(g) for g, _ in cases]
+    monkeypatch.setattr(soltes.core, "_packed_pair_sums", recording)
+    for (g, batches), want in zip(cases, wants):
+        sizes.clear()
+        for rep in soltes_reports([g] * sum(batches)):
+            assert_same_report(rep, want)
+        assert sizes == batches
+    with pytest.raises(ValueError):
+        list(soltes_reports([circulant(5, (1,)), Graph(5, [(0, 1)])]))
 
 @pytest.mark.slow
 def test_c11_is_the_only_one_soltes_circulant_with_at_most_two_steps():

@@ -10,9 +10,10 @@ import weakref
 
 import pytest
 
+import soltes.core
 import soltes.enumeration as enumeration
 from conftest import closed_walks, key_rows, leaf, vertex_key
-from soltes.core import Graph, is_connected, profile
+from soltes.core import Graph, is_connected, profile, soltes_report
 from soltes.enumeration import (TableRow, _ClassStore, _leaf_keys,
                                 classify_table, gen_regular)
 from soltes.families import complete
@@ -701,6 +702,68 @@ def test_only_the_11_cycle_row_has_a_one_soltes_class_under_the_caps():
             one_soltes.append((n, r))
     assert one_soltes == [(11, 2)]
     assert classify_table(11, 2).counts == {11: 1}
+
+
+@pytest.mark.parametrize("n,r", [(10, 3), (8, 4), (9, 4)])
+def test_census_row_does_not_depend_on_the_batch_size(monkeypatch, n, r):
+    # classify_table sweeps as many classes at once as the word budget
+    # fits: one per batch, five per batch (a remainder on each of these
+    # rows) and the default all give the row of one report per class
+    graphs = list(gen_regular(n, r))
+    counts = {}
+    for g in graphs:
+        k = len(soltes_report(g).soltes_set)
+        if k:
+            counts[k] = counts.get(k, 0) + 1
+    want = TableRow(n, r, len(graphs), counts)
+    sweep = soltes.core._packed_pair_sums
+    sizes = []
+
+    def recording(graphs, removed, **kwargs):
+        sizes.append(len(graphs))
+        return sweep(graphs, removed, **kwargs)
+
+    monkeypatch.setattr(soltes.core, "_packed_pair_sums", recording)
+    # the words of one class's n + 1 slices, one word per row at n <= 64
+    per_class = (n + 1) ** 2
+    for budget, batch in ((per_class, 1), (5 * per_class, 5),
+                          (soltes.core._SWEEP_WORDS, len(graphs))):
+        monkeypatch.setattr(soltes.core, "_SWEEP_WORDS", budget)
+        sizes.clear()
+        assert classify_table(n, r) == want, budget
+        full, last = divmod(len(graphs), batch)
+        assert sizes == [batch] * full + [last] * bool(last), budget
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,r,total", [(11, 6, 266), (12, 9, 9)])
+def test_rows_served_at_the_raised_caps(monkeypatch, n, r, total):
+    # (11, 6) has the OEIS A006821 count, and no class of either row has a
+    # removable vertex, by networkx on every deletion as well
+    nx = pytest.importorskip("networkx")
+    seen = []
+    real = enumeration.gen_regular
+
+    def kept(n, r):
+        for g in real(n, r):
+            seen.append(g)
+            yield g
+
+    monkeypatch.setattr(enumeration, "gen_regular", kept)
+    assert classify_table(n, r) == TableRow(n, r, total, {})
+    assert len(seen) == total
+    for g in seen:
+        h = nx.Graph(list(g.edges()))
+        w = nx.wiener_index(h)
+        assert all(nx.wiener_index(h.subgraph(set(h) - {v})) != w
+                   for v in h)
+    if r == 9:
+        # the complements are the 2-regular graphs on 12 vertices, one per
+        # partition of 12 into cycle lengths of at least 3
+        cycles = sorted(sorted(map(len, nx.connected_components(
+            nx.complement(nx.Graph(list(g.edges())))))) for g in seen)
+        assert cycles == [[3, 3, 3, 3], [3, 3, 6], [3, 4, 5], [3, 9],
+                          [4, 4, 4], [4, 8], [5, 7], [6, 6], [12]]
 
 
 def test_classify_scale_cap():

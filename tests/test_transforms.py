@@ -95,9 +95,9 @@ def test_orbit_report_on_lifted_left_actions(monkeypatch):
     real = soltes.core._packed_pair_sums
     calls = []
 
-    def counted(g, removed):
+    def counted(graphs, removed):
         calls.extend(v for v in removed if v is not None)
-        return real(g, removed)
+        return real(graphs, removed)
 
     def orbit_and_brute(h, automorphisms):
         calls.clear()
